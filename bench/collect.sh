@@ -29,27 +29,19 @@
 # clock legitimately differs; every deterministic field must not), and no
 # checkpoint file may survive a completed campaign.
 #
-# With --socket, each driver instead exercises the transport seam (DESIGN.md
-# section 11): run once on the default in-process backend and once with
-# --transport=socket, requiring (a) both runs succeed, (b) the two records
-# are identical after canonicalization — same verdicts, cells, traffic and
-# wire bytes, because the backend moves bytes without changing what an
-# execution computes — and (c) the socket record's metrics block shows real
-# kernel traffic (a nonzero net.bytes_on_wire counter).
-#
 # With --process, the remaining arguments are ONE driver command line
 # (binary plus its own arguments, e.g. ".../explore gennaro none uniform
-# --samples=40").  The command runs three times -- default in-process
-# backend, --transport=socket, --transport=process -- and the three records
-# must be identical after canonicalization (the process-isolation
-# equivalence contract: per-party worker processes change how bytes move,
-# never what an execution computes).  The process record must additionally
-# prove that workers really ran: metadata.transport == "process" and a
-# nonzero proc.spawned counter in its metrics block.
+# --samples=40").  The command runs twice -- default in-process backend,
+# then --transport=process -- and the two records must be identical after
+# canonicalization (the process-isolation equivalence contract: per-party
+# worker processes change how bytes move, never what an execution
+# computes).  The process record must additionally prove that workers
+# really ran: metadata.transport == "process" and a nonzero proc.spawned
+# counter in its metrics block.
 #
 # With --chaos, the remaining arguments are ONE driver command line (like
 # --process).  The command runs twice -- once clean on the in-process
-# backend, once with --transport=socket --chaos=$CHAOS_SPEC (default a
+# backend, once with --transport=process --chaos=$CHAOS_SPEC (default a
 # recoverable loss/latency/corruption mix) -- and the two records must be
 # identical after canonicalization: recoverable wire chaos may cost wall
 # clock and retransmits, never results (DESIGN.md section 15).  The chaotic
@@ -70,18 +62,15 @@ set -u
 want_trace=0
 want_faults=0
 want_resume=0
-want_socket=0
 want_status=0
 want_process=0
 want_chaos=0
 while [ "${1:-}" = "--trace" ] || [ "${1:-}" = "--faults" ] || [ "${1:-}" = "--resume" ] ||
-      [ "${1:-}" = "--socket" ] || [ "${1:-}" = "--status" ] || [ "${1:-}" = "--process" ] ||
-      [ "${1:-}" = "--chaos" ]; do
+      [ "${1:-}" = "--status" ] || [ "${1:-}" = "--process" ] || [ "${1:-}" = "--chaos" ]; do
   case $1 in
     --trace) want_trace=1 ;;
     --faults) want_faults=1 ;;
     --resume) want_resume=1 ;;
-    --socket) want_socket=1 ;;
     --status) want_status=1 ;;
     --process) want_process=1 ;;
     --chaos) want_chaos=1 ;;
@@ -94,7 +83,7 @@ status_interval=${STATUS_INTERVAL:-0.05}
 chaos_spec=${CHAOS_SPEC:-delay:uniform:0:1,loss:0.1,corrupt:0.001}
 
 if [ "$#" -lt 1 ]; then
-  echo "usage: $0 [--trace] [--faults] [--resume] [--socket] [--status] OUT_DIR [DRIVER...]" >&2
+  echo "usage: $0 [--trace] [--faults] [--resume] [--status] OUT_DIR [DRIVER...]" >&2
   echo "       $0 --process|--chaos OUT_DIR DRIVER [DRIVER_ARGS...]" >&2
   exit 2
 fi
@@ -172,10 +161,11 @@ if baseline != resumed:
 EOF
 }
 
-# Socket-vs-inproc record equality: like check_resumed_record, but the
-# metadata block is stripped too — it names the transport backend, the one
-# field the two runs legitimately disagree on.
-check_socket_pair() {
+# Cross-run record equality (inproc vs process, clean vs chaotic): like
+# check_resumed_record, but the metadata block is stripped too — it names
+# the transport backend and chaos spec, the fields the two runs
+# legitimately disagree on.
+check_record_pair() {
   python3 - "$1" "$2" 2>&1 <<'EOF'
 import json, sys
 
@@ -187,27 +177,13 @@ def canon(node):
         return [canon(v) for v in node]
     return node
 
-inproc = canon(json.load(open(sys.argv[1])))
-socket = canon(json.load(open(sys.argv[2])))
-if inproc != socket:
-    for key in sorted(set(inproc) | set(socket)):
-        if inproc.get(key) != socket.get(key):
-            print(f"  field {key!r} differs:\n    inproc: {inproc.get(key)!r}\n    socket: {socket.get(key)!r}")
+first = canon(json.load(open(sys.argv[1])))
+second = canon(json.load(open(sys.argv[2])))
+if first != second:
+    for key in sorted(set(first) | set(second)):
+        if first.get(key) != second.get(key):
+            print(f"  field {key!r} differs:\n    {sys.argv[1]}: {first.get(key)!r}\n    {sys.argv[2]}: {second.get(key)!r}")
     sys.exit(1)
-EOF
-}
-
-# The socket record must prove bytes really moved through the kernel: its
-# metrics block carries a nonzero net.bytes_on_wire counter and names the
-# socket backend in metadata.
-check_socket_metrics() {
-  python3 - "$1" 2>&1 <<'EOF'
-import json, sys
-rec = json.load(open(sys.argv[1]))
-assert rec["metadata"]["transport"] == "socket", \
-    f'metadata.transport is {rec["metadata"]["transport"]!r}, not "socket"'
-bytes_on_wire = rec["metrics"]["counters"].get("net.bytes_on_wire", 0)
-assert bytes_on_wire > 0, "net.bytes_on_wire is zero: no frame crossed the kernel"
 EOF
 }
 
@@ -339,7 +315,7 @@ if [ "$want_chaos" -eq 1 ]; then
     echo "collect.sh: FAIL $name (clean run exited nonzero)" >&2
     exit 1
   fi
-  if ! "${drivers[@]}" --json="$chaos_dir" --transport=socket --chaos="$chaos_spec"; then
+  if ! "${drivers[@]}" --json="$chaos_dir" --transport=process --chaos="$chaos_spec"; then
     echo "collect.sh: FAIL $name (--chaos=$chaos_spec run exited nonzero)" >&2
     exit 1
   fi
@@ -351,7 +327,7 @@ if [ "$want_chaos" -eq 1 ]; then
       failures=$((failures + 1))
       continue
     fi
-    if ! check_socket_pair "$clean" "$chaotic"; then
+    if ! check_record_pair "$clean" "$chaotic"; then
       echo "collect.sh: FAIL $name ($base differs between clean and chaotic runs)" >&2
       failures=$((failures + 1))
     fi
@@ -379,17 +355,12 @@ if [ "$want_process" -eq 1 ]; then
   name=$(basename "${drivers[0]}")
   failures=0
   inproc_dir=$out_dir/inproc_$name
-  socket_dir=$out_dir/socket_$name
   process_dir=$out_dir/process_$name
-  rm -rf "$inproc_dir" "$socket_dir" "$process_dir"
-  mkdir -p "$inproc_dir" "$socket_dir" "$process_dir"
+  rm -rf "$inproc_dir" "$process_dir"
+  mkdir -p "$inproc_dir" "$process_dir"
 
   if ! "${drivers[@]}" --json="$inproc_dir"; then
     echo "collect.sh: FAIL $name (in-process run exited nonzero)" >&2
-    exit 1
-  fi
-  if ! "${drivers[@]}" --json="$socket_dir" --transport=socket; then
-    echo "collect.sh: FAIL $name (--transport=socket run exited nonzero)" >&2
     exit 1
   fi
   if ! "${drivers[@]}" --json="$process_dir" --transport=process; then
@@ -398,73 +369,24 @@ if [ "$want_process" -eq 1 ]; then
   fi
   for inproc in "$inproc_dir"/BENCH_*.json; do
     base=$(basename "$inproc")
-    for other in "$socket_dir/$base" "$process_dir/$base"; do
-      if [ ! -f "$other" ]; then
-        echo "collect.sh: FAIL $name (run wrote no $other)" >&2
-        failures=$((failures + 1))
-        continue
-      fi
-      if ! check_socket_pair "$inproc" "$other"; then
-        echo "collect.sh: FAIL $name ($other differs from in-process record)" >&2
-        failures=$((failures + 1))
-      fi
-    done
-    if [ -f "$process_dir/$base" ] && ! check_process_metrics "$process_dir/$base"; then
+    process=$process_dir/$base
+    if [ ! -f "$process" ]; then
+      echo "collect.sh: FAIL $name (process run wrote no $base)" >&2
+      failures=$((failures + 1))
+      continue
+    fi
+    if ! check_record_pair "$inproc" "$process"; then
+      echo "collect.sh: FAIL $name ($base differs between in-process and process runs)" >&2
+      failures=$((failures + 1))
+    fi
+    if ! check_process_metrics "$process"; then
       echo "collect.sh: FAIL $name (process record shows no spawned workers)" >&2
       failures=$((failures + 1))
     fi
   done
   if [ "$failures" -eq 0 ]; then
-    echo "collect.sh: $name record-identical across inproc/socket/process, records in $out_dir"
+    echo "collect.sh: $name record-identical across inproc/process, records in $out_dir"
   fi
-  [ "$failures" -eq 0 ]
-  exit
-fi
-
-if [ "$want_socket" -eq 1 ]; then
-  if ! command -v python3 >/dev/null 2>&1; then
-    echo "collect.sh: --socket needs python3 for record comparison" >&2
-    exit 2
-  fi
-  failures=0
-  for driver in "${drivers[@]}"; do
-    name=$(basename "$driver")
-    inproc_dir=$out_dir/inproc_$name
-    socket_dir=$out_dir/socket_$name
-    rm -rf "$inproc_dir" "$socket_dir"
-    mkdir -p "$inproc_dir" "$socket_dir"
-
-    if ! "$driver" --json="$inproc_dir"; then
-      echo "collect.sh: FAIL $name (in-process run exited nonzero)" >&2
-      failures=$((failures + 1))
-      continue
-    fi
-    if ! "$driver" --json="$socket_dir" --transport=socket; then
-      echo "collect.sh: FAIL $name (--transport=socket run exited nonzero)" >&2
-      failures=$((failures + 1))
-      continue
-    fi
-    pair_ok=1
-    for inproc in "$inproc_dir"/BENCH_*.json; do
-      socket=$socket_dir/$(basename "$inproc")
-      if [ ! -f "$socket" ]; then
-        echo "collect.sh: FAIL $name (socket run wrote no $(basename "$inproc"))" >&2
-        pair_ok=0
-        continue
-      fi
-      if ! check_socket_pair "$inproc" "$socket"; then
-        echo "collect.sh: FAIL $name (socket record $(basename "$inproc") differs from in-process)" >&2
-        pair_ok=0
-      fi
-      if ! check_socket_metrics "$socket"; then
-        echo "collect.sh: FAIL $name (socket record shows no kernel traffic)" >&2
-        pair_ok=0
-      fi
-    done
-    [ "$pair_ok" -eq 1 ] || failures=$((failures + 1))
-  done
-  count=${#drivers[@]}
-  echo "collect.sh: $((count - failures))/$count drivers verdict-identical across transports, records in $out_dir"
   [ "$failures" -eq 0 ]
   exit
 fi

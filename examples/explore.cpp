@@ -50,7 +50,7 @@ using namespace simulcast;
   if (!error.empty()) std::cerr << "error: " << error << "\n\n";
   std::cerr << "usage: explore <protocol> <adversary> <distribution> "
                "[--n=5] [--corrupt=i,j] [--samples=2000] [--seed=1] [--threads=1] "
-               "[--transport=inproc|socket|process] [--net-timeout=S] [--chaos=SPEC] "
+               "[--transport=inproc|process] [--net-timeout=S] [--chaos=SPEC] "
                "[--json=PATH] [--trace=PATH] "
                "[--drop=P] [--delay=R] [--crash=party@round,...] "
                "[--checkpoint=PATH] [--resume] [--rep-timeout=S] [--retries=N] "

@@ -640,7 +640,7 @@ std::size_t configure_threads(int argc, char** argv,
   const auto usage_exit = [program](const std::string& detail) {
     std::fprintf(stderr,
                  "error: %s\n"
-                 "usage: %s [--threads=N] [--transport=inproc|socket|process] "
+                 "usage: %s [--threads=N] [--transport=inproc|process] "
                  "[--net-timeout=S] [--chaos=SPEC] [--json=PATH] "
                  "[--trace=PATH] [--log=PATH] [--status=PATH] [--status-interval=S] "
                  "[--drop=P] [--delay=R] [--crash=party@round,...] "
@@ -682,8 +682,8 @@ std::size_t configure_threads(int argc, char** argv,
     } else if (arg.rfind("--net-timeout=", 0) == 0) {
       check_duplicate(arg);
       // Fractional seconds are first-class (--net-timeout=0.5): chaos
-      // suites want sub-second stall detection, and the transports keep
-      // the deadline in milliseconds anyway.
+      // suites want sub-second stall detection, and the process
+      // coordinator keeps the deadline in milliseconds anyway.
       char* end = nullptr;
       const double seconds = std::strtod(arg.c_str() + 14, &end);
       const double ms = seconds * 1000.0;

@@ -211,7 +211,7 @@ struct BatchResult {
 void set_default_threads(std::size_t threads);
 
 /// Scans argv for the uniform knobs every bench driver and example exposes
-/// — --threads=N, --transport=inproc|socket (installed as the
+/// — --threads=N, --transport=inproc|process (installed as the
 /// process-default net transport backend), --json=PATH, --trace=PATH, the
 /// telemetry knobs --log=PATH (structured event log, obs/log.h),
 /// --status=PATH and --status-interval=S (heartbeat stream, obs/status.h),

@@ -1,9 +1,9 @@
 // Deterministic wire chaos: a seed-driven, netem-style fault layer applied
-// *below* the transport seam, to the byte streams of net::SocketTransport
-// and net::WorkerChannel.
+// to the byte streams of net::WorkerChannel, the coordinator<->worker
+// channels of the process transport.
 //
-// Everything sim::FaultPlan injects happens *above* the transport — the
-// scheduler drops or delays whole messages before they reach a backend.
+// Everything sim::FaultPlan injects happens *above* the wire — the
+// scheduler drops or delays whole messages before they are delivered.
 // Chaos is the complementary regime: frames that left the sender intact
 // are lost, duplicated, reordered, delayed or bit-flipped *on the wire*,
 // and the resilience machinery (CRC32C trailers, seq dedup, ack/retransmit

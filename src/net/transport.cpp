@@ -4,8 +4,6 @@
 #include <string>
 
 #include "base/error.h"
-#include "net/socket.h"
-#include "net/wire.h"
 #include "obs/metrics.h"
 
 namespace simulcast::net {
@@ -21,52 +19,19 @@ std::atomic<TransportKind> g_default_kind{TransportKind::kInProcess};
 // not guaranteed lock-free and the knob is read on every blocking wait.
 std::atomic<long> g_net_timeout_ms{30000};
 
-/// The extracted pending-delivery vectors of the pre-transport scheduler:
-/// submit is a vector push, collect is a vector move, ordering is
-/// submission order.  Bit-identical to the old in_flight hand-off by
-/// construction.  Wire accounting prices each frame with encoded_size()
-/// instead of serializing it, so the hot path stays allocation-free.
-class InProcessTransport final : public Transport {
- public:
-  [[nodiscard]] TransportKind kind() const noexcept override {
-    return TransportKind::kInProcess;
-  }
-
-  void open(std::size_t /*n*/, std::size_t slots) override { pending_.resize(slots); }
-
-  void submit(sim::Message m, std::size_t slot) override {
-    if (slot >= pending_.size()) throw UsageError("InProcessTransport: slot out of range");
-    ++stats_.frames;
-    stats_.bytes_on_wire += encoded_size(m);
-    pending_[slot].push_back(std::move(m));
-  }
-
-  [[nodiscard]] std::vector<sim::Message> collect(std::size_t slot) override {
-    if (slot >= pending_.size()) throw UsageError("InProcessTransport: slot out of range");
-    return std::move(pending_[slot]);
-  }
-
- private:
-  std::vector<std::vector<sim::Message>> pending_;
-};
-
 }  // namespace
 
 std::string_view transport_kind_name(TransportKind kind) noexcept {
-  switch (kind) {
-    case TransportKind::kSocket: return "socket";
-    case TransportKind::kProcess: return "process";
-    case TransportKind::kInProcess: break;
-  }
-  return "inproc";
+  return kind == TransportKind::kProcess ? "process" : "inproc";
 }
 
 TransportKind parse_transport_kind(std::string_view text) {
   if (text == "inproc") return TransportKind::kInProcess;
-  if (text == "socket") return TransportKind::kSocket;
   if (text == "process") return TransportKind::kProcess;
-  throw UsageError("unknown transport '" + std::string(text) +
-                   "' (expected inproc|socket|process)");
+  if (text == "socket")
+    throw UsageError("transport 'socket' was removed; use --transport=process for real "
+                     "kernel sockets between isolated parties (expected inproc|process)");
+  throw UsageError("unknown transport '" + std::string(text) + "' (expected inproc|process)");
 }
 
 TransportKind default_transport_kind() noexcept {
@@ -85,29 +50,12 @@ void set_default_net_timeout(std::chrono::milliseconds timeout) noexcept {
   g_net_timeout_ms.store(timeout.count(), std::memory_order_relaxed);
 }
 
-std::unique_ptr<Transport> make_transport(TransportKind kind) {
-  if (kind == TransportKind::kSocket) return std::make_unique<SocketTransport>();
-  // Process mode moves *party machines* out of process, not the scheduler's
-  // slot mailboxes: inter-round traffic still lives with the coordinator,
-  // so the mailbox backend is the bit-identical in-process one and the real
-  // kernel crossings happen on the coordinator<->worker channels
-  // (net/procs.h), accounted as proc.* metrics.
-  return std::make_unique<InProcessTransport>();
-}
-
 void record_transport_metrics(const WireStats& stats) {
   if (stats.frames == 0) return;
   static obs::Counter& frames = obs::Metrics::global().counter("net.frames");
   static obs::Counter& bytes = obs::Metrics::global().counter("net.bytes_on_wire");
-  static obs::Counter& serialize_us = obs::Metrics::global().counter("net.serialize_us");
-  static obs::Counter& deserialize_us = obs::Metrics::global().counter("net.deserialize_us");
-  static obs::Histogram& flush =
-      obs::Metrics::global().histogram("net.flush_us_per_execution", 0, 20000, 40);
   frames.add(stats.frames);
   bytes.add(stats.bytes_on_wire);
-  serialize_us.add(stats.serialize_us);
-  deserialize_us.add(stats.deserialize_us);
-  flush.record(stats.flush_us);
 }
 
 }  // namespace simulcast::net

@@ -1,61 +1,41 @@
-// The pluggable transport seam under the round scheduler.
+// The --transport= knob and the net.* wire accounting.
 //
-// The scheduler (sim/network.cpp) decides *what* is delivered *when*: it
-// applies the FaultPlan to each outgoing message, assigns the delivery
-// slot, and filters partitioned links at delivery.  A Transport decides
-// *how* the bytes move between those two points.  The contract is a
-// slot-addressed mailbox:
+// The round scheduler (sim/network.cpp) owns the messages between rounds:
+// one slot-indexed mailbox per delivery slot, where a submit is a vector
+// push and a collect is a vector move, so delivery order is submission
+// order (DESIGN.md section 11).  What the knob chooses is where the honest
+// party *machines* run:
 //
-//   open(n, slots)        once per execution, before any traffic;
-//   submit(m, slot)       hand over one message for delivery slot `slot`
-//                         (the scheduler only submits to slots it has not
-//                         collected yet);
-//   collect(slot)         every message submitted for `slot`, in
-//                         submission order — the ordering guarantee that
-//                         makes delivery deterministic on every backend;
-//   close()               release resources (idempotent; also run by the
-//                         destructor).
+//   - kInProcess (the default): every machine is an object in the
+//     scheduler's process.  The fast path.
+//   - kProcess: every honest machine runs in its own worker process under
+//     a per-execution coordinator (net/procs.h); each round's deliveries
+//     and outboxes cross a kernel socketpair in the net/wire.h encoding.
 //
-// Determinism per backend (DESIGN.md section 11):
-//   - InProcessTransport (the default) is the extracted body of the old
-//     pending-delivery vectors: a submit is a vector push, a collect is a
-//     vector move.  Executions are bit-identical to the pre-transport
-//     scheduler — the purity contract, exec::Runner checkpoints and every
-//     golden output are unchanged.
-//   - SocketTransport (net/socket.h) moves every frame through per-party
-//     loopback TCP endpoints on an epoll event loop.  Frames carry a
-//     submission sequence number and collect() reorders by it, so party
-//     outputs and verdicts are identical to the in-process backend;
-//     only wall-clock timing (and therefore timing metrics) varies.
-//
-// Every backend accounts WireStats using the net/wire.h encoding, so
-// "bytes on wire" means the same thing whether or not a kernel was
-// involved: the in-process backend prices frames with encoded_size(),
-// the socket backend counts the bytes it actually wrote.
+// Samples and verdicts are identical on both: the backend changes where
+// party code runs and how its bytes move, never what an execution
+// computes.  "Bytes on wire" is priced the same way on both — every
+// scheduled message is charged encoded_size() bytes — so the net.frames /
+// net.bytes_on_wire counters are pure functions of the traffic.
 #pragma once
 
 #include <chrono>
-#include <cstdint>
-#include <memory>
+#include <cstddef>
 #include <string_view>
-#include <vector>
-
-#include "sim/message.h"
 
 namespace simulcast::net {
 
-struct ChaosSpec;
-
 enum class TransportKind {
-  kInProcess,  ///< slot-indexed in-memory mailboxes (default; bit-identical)
-  kSocket,     ///< loopback TCP endpoints + epoll event loop (verdict-identical)
+  kInProcess,  ///< every machine in the scheduler's process (default)
   kProcess,    ///< per-party worker processes under a coordinator (net/procs.h)
 };
 
-/// "inproc" / "socket" / "process" — the spelling of the --transport= knob.
+/// "inproc" / "process" — the spelling of the --transport= knob.
 [[nodiscard]] std::string_view transport_kind_name(TransportKind kind) noexcept;
 
-/// Parses a --transport= value; throws UsageError on anything else.
+/// Parses a --transport= value; throws UsageError on anything else.  The
+/// removed loopback-TCP backend ("socket") draws a message pointing at
+/// "process", the one wire path.
 [[nodiscard]] TransportKind parse_transport_kind(std::string_view text);
 
 /// Process-wide default backend, TransportKind::kInProcess unless the
@@ -68,69 +48,29 @@ enum class TransportKind {
 /// before spawning batches, which is what configure_threads does.
 void set_default_transport_kind(TransportKind kind) noexcept;
 
-/// Stall deadline for every blocking network wait: the socket backend's
-/// collect() event loop and the process coordinator's handshake / reply
-/// reads all abandon the execution (ProtocolError) after this long without
-/// progress.  Defaults to 30 seconds; the --net-timeout=S knob
-/// (exec::configure_threads, fractional seconds accepted) shortens it so
-/// tests fail in seconds, not minutes.  Chaos-resilient channels treat
-/// this as a ceiling and derive tighter adaptive deadlines from observed
-/// round-trip times (net/worker.h stall_deadline()).  Relaxed atomic, same
-/// write-from-main contract as the transport-kind default.
+/// Stall deadline for every blocking network wait: the process
+/// coordinator's handshake and reply reads abandon the execution
+/// (ProtocolError) after this long without progress.  Defaults to 30
+/// seconds; the --net-timeout=S knob (exec::configure_threads, fractional
+/// seconds accepted) shortens it so tests fail in seconds, not minutes.
+/// Chaos-resilient channels treat this as a ceiling and derive tighter
+/// adaptive deadlines from observed round-trip times (net/worker.h
+/// stall_deadline()).  Relaxed atomic, same write-from-main contract as
+/// the transport-kind default.
 [[nodiscard]] std::chrono::milliseconds default_net_timeout() noexcept;
 void set_default_net_timeout(std::chrono::milliseconds timeout) noexcept;
 
-/// Per-execution transport accounting.  Byte/frame counts are
-/// deterministic (pure functions of the traffic); the *_us timings are
-/// wall-clock and vary run to run, like every latency metric.
+/// One execution's scheduled traffic in wire terms: a frame per message
+/// handed to a delivery slot (after FaultPlan drops and delays) and its
+/// encoded_size() bytes.  Deterministic, like TrafficStats.
 struct WireStats {
-  std::size_t frames = 0;           ///< frames moved through the transport
-  std::size_t bytes_on_wire = 0;    ///< serialized frame bytes (wire encoding)
-  std::uint64_t serialize_us = 0;   ///< time spent encoding frames
-  std::uint64_t deserialize_us = 0; ///< time spent decoding frames
-  std::uint64_t flush_us = 0;       ///< cumulative collect() latency
+  std::size_t frames = 0;
+  std::size_t bytes_on_wire = 0;
 };
 
-class Transport {
- public:
-  virtual ~Transport() = default;
-
-  [[nodiscard]] virtual TransportKind kind() const noexcept = 0;
-
-  /// Prepares mailboxes for an n-party execution with `slots` delivery
-  /// slots (rounds(n) + 1: one per round plus the final delivery).
-  virtual void open(std::size_t n, std::size_t slots) = 0;
-
-  /// Hands one message to the transport for delivery slot `slot`.
-  virtual void submit(sim::Message m, std::size_t slot) = 0;
-
-  /// Returns every message submitted for `slot`, in submission order.
-  /// Each slot is collected at most once.
-  [[nodiscard]] virtual std::vector<sim::Message> collect(std::size_t slot) = 0;
-
-  /// Installs a deterministic wire-fault layer (net/chaos.h) before
-  /// open().  The in-process backend ignores it — there is no wire to
-  /// disturb — which is also why recoverable chaos cannot change results:
-  /// the chaos-free backend defines them.
-  virtual void configure_chaos(const ChaosSpec& /*spec*/, std::uint64_t /*seed*/) {}
-
-  /// Releases transport resources (idempotent).
-  virtual void close() {}
-
-  [[nodiscard]] const WireStats& stats() const noexcept { return stats_; }
-
- protected:
-  WireStats stats_;
-};
-
-/// Backend factory.  The in-process backend is allocation-cheap; the
-/// socket backend opens its endpoints lazily in open().
-[[nodiscard]] std::unique_ptr<Transport> make_transport(TransportKind kind);
-
-/// Feeds the net.* registry metrics (bytes on wire, frames, serialize /
-/// deserialize time, flush latency) from one execution's stats.  Called by
-/// the scheduler once per execution; a transport that moved no frames
-/// records nothing.
+/// Feeds the net.frames / net.bytes_on_wire registry counters from one
+/// execution's stats.  Called by the scheduler once per execution; an
+/// execution that scheduled no frame records nothing.
 void record_transport_metrics(const WireStats& stats);
 
 }  // namespace simulcast::net

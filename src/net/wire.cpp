@@ -165,12 +165,4 @@ sim::Message decode_message(const Bytes& frame) {
   return m;
 }
 
-std::size_t frame_size_hint(const std::uint8_t* data, std::size_t size) noexcept {
-  if (size < 4) return 0;
-  std::uint32_t body = 0;
-  for (int shift = 0; shift < 32; shift += 8)
-    body |= static_cast<std::uint32_t>(data[shift / 8]) << shift;
-  return 4 + static_cast<std::size_t>(body);
-}
-
 }  // namespace simulcast::net

@@ -1,5 +1,6 @@
-// The wire format: a flat, length-prefixed binary framing of sim::Message
-// shared by every transport backend (net/transport.h).
+// The wire format: a flat, length-prefixed binary framing of sim::Message,
+// spoken between the process coordinator and its workers (net/worker.h)
+// and used to price scheduled traffic (net/transport.h).
 //
 // One frame is
 //
@@ -30,8 +31,8 @@
 // buffer with no intermediate allocation, and WireReader decodes from a
 // borrowed span, copying each field exactly once into the resulting
 // Message.  encoded_size() prices a frame without materializing it, which
-// is how the in-process transport and TrafficStats account true wire bytes
-// without paying for serialization.
+// is how the scheduler's net.* counters and TrafficStats account true wire
+// bytes without paying for serialization.
 //
 // Decoding errors (truncation, version mismatch, length inconsistencies)
 // throw simulcast::ProtocolError — malformed traffic is an adversarial
@@ -116,11 +117,5 @@ class WireReader {
 /// Convenience single-frame helpers built on the writer/reader.
 void encode_message(const sim::Message& m, Bytes& out);
 [[nodiscard]] sim::Message decode_message(const Bytes& frame);
-
-/// Stream-reassembly helper: given the readable prefix of a byte stream,
-/// returns the total size of the first frame (length prefix included) when
-/// the length prefix itself is readable, or 0 when fewer than 4 bytes are
-/// available.  The caller waits for that many bytes before decoding.
-[[nodiscard]] std::size_t frame_size_hint(const std::uint8_t* data, std::size_t size) noexcept;
 
 }  // namespace simulcast::net

@@ -37,7 +37,7 @@ namespace simulcast::obs {
 /// wire_delivered_bytes (true serialized sizes under the net/wire.h frame
 /// encoding; payload_bytes / delivered_bytes stay for this revision as the
 /// deprecated payload-only counts) and metadata gained "transport", the
-/// backend (inproc|socket) the record was measured under.
+/// backend the record was measured under (today inproc|process).
 /// v6: the deprecated payload-only counts are gone — "traffic" carries only
 /// the wire-priced bytes (wire_bytes / wire_delivered_bytes).  Consumers
 /// (bench/compare.sh) now reject records whose schema_version they do not
@@ -116,7 +116,7 @@ struct ExperimentRecord {
   /// process stop flag.
   bool partial = false;
   /// Transport backend the record was measured under (schema v5,
-  /// "inproc" | "socket").  Left empty by drivers: core::finish_experiment
+  /// "inproc" | "process").  Left empty by drivers: core::finish_experiment
   /// fills it from net::default_transport_kind().
   std::string transport;
   /// Wire-chaos spec the record was measured under (schema v8, canonical

@@ -513,15 +513,14 @@ ExecutionResult run_execution(const ParallelBroadcastProtocol& protocol,
     return false;
   };
 
-  // The transport owns the messages between rounds: slot r holds traffic
-  // awaiting delivery at the start of round r (slot total_rounds is the
-  // final delivery into Party::finish).  Without faults every message sent
-  // in round r is submitted to slot r + 1, exactly the old pending-vector
-  // hand-off — the scheduler decides what is delivered when (faults,
-  // partitions), the transport decides how the bytes move.
-  std::unique_ptr<net::Transport> transport = net::make_transport(config.transport);
-  if (config.chaos.enabled()) transport->configure_chaos(config.chaos, config.seed);
-  transport->open(n, total_rounds + 1);
+  // Slot-indexed mailboxes hold the messages between rounds: slot r holds
+  // traffic awaiting delivery at the start of round r (slot total_rounds
+  // is the final delivery into Party::finish).  Without faults every
+  // message sent in round r lands in slot r + 1.  A submit is a push and a
+  // collect is a move, so delivery order is submission order on every
+  // transport; each scheduled message is priced as one encoded_size() frame.
+  std::vector<std::vector<Message>> mailboxes(total_rounds + 1);
+  net::WireStats wire;
 
   // Routes one round's outgoing traffic, applying drops and delays.
   // Functionality traffic models an ideal subprotocol and is exempt.
@@ -545,7 +544,9 @@ ExecutionResult run_execution(const ParallelBroadcastProtocol& protocol,
           }
         }
       }
-      transport->submit(std::move(m), slot);
+      ++wire.frames;
+      wire.bytes_on_wire += net::encoded_size(m);
+      mailboxes[slot].push_back(std::move(m));
     }
   };
 
@@ -614,7 +615,7 @@ ExecutionResult run_execution(const ParallelBroadcastProtocol& protocol,
     obs::TraceSpan round_span("round");
     round_span.arg("round", round);
     const TrafficStats traffic_before = result.traffic;
-    std::vector<Message> arriving = transport->collect(round);
+    std::vector<Message> arriving = std::move(mailboxes[round]);
     std::vector<Message> sent_this_round;
 
     // 0. Crashes scheduled for this round take effect before anyone acts.
@@ -714,7 +715,7 @@ ExecutionResult run_execution(const ParallelBroadcastProtocol& protocol,
   // Final delivery.
   check_deadline(total_rounds);
   apply_crashes(total_rounds);
-  const std::vector<Message> final_arriving = transport->collect(total_rounds);
+  const std::vector<Message> final_arriving = std::move(mailboxes[total_rounds]);
   build_inboxes(final_arriving, total_rounds);
   for (PartyId id = 0; id < n; ++id) {
     if (!machines[id]) continue;
@@ -744,8 +745,7 @@ ExecutionResult run_execution(const ParallelBroadcastProtocol& protocol,
   // Worker deaths count as crashes even under an empty plan.
   if (!plan.empty() || result.traffic.crashed > 0) record_fault_metrics(result.traffic);
   record_alloc_metrics(payload_pool.stats());
-  net::record_transport_metrics(transport->stats());
-  transport->close();
+  net::record_transport_metrics(wire);
   return result;
 }
 

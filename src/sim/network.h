@@ -54,9 +54,9 @@ struct ExecutionConfig {
   /// and throws TimeoutError once past it.  The default (epoch) disables
   /// the check entirely, so watchdog-free executions never read the clock.
   std::chrono::steady_clock::time_point deadline{};
-  /// Transport backend moving messages between rounds (net/transport.h).
-  /// Defaults to the process-wide knob (--transport=, exec::configure_threads),
-  /// which is the bit-identical in-process backend unless overridden.
+  /// Where the honest machines run (net/transport.h): in this process, or
+  /// one worker process each.  Defaults to the process-wide knob
+  /// (--transport=, exec::configure_threads), in-process unless overridden.
   /// Samples and verdicts are transport-invariant, so the backend is not
   /// part of a campaign's identity.
   net::TransportKind transport = net::default_transport_kind();

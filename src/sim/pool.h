@@ -4,7 +4,7 @@
 // used to construct a fresh Bytes, every delivery deep-copied it, and both
 // died at the end of the round.  The scheduler now owns one MessagePool per
 // execution and closes the loop: parties build payloads in buffers acquired
-// from the pool (PartyContext::writer()), the transport moves them to the
+// from the pool (PartyContext::writer()), the slot mailboxes move them to the
 // next round without copying, and once a round's deliveries have been
 // consumed the scheduler releases the buffers back to the pool.  After the
 // first couple of rounds the free list covers the working set and the

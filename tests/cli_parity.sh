@@ -36,6 +36,7 @@ check "unknown option"         --bogus=1
 check "repeated option"        --threads=2 --threads=2
 check "malformed thread count" --threads=banana
 check "bad transport"          --transport=carrier-pigeon
+check "removed socket backend" --transport=socket
 check "bad drop probability"   --drop=1.5
 check "empty json path"        --json=
 check "empty log path"         --log=

@@ -2,9 +2,7 @@
 // engine determinism (verdict streams are pure functions of seed, spec
 // and channel personalization), the resilient WorkerChannel protocol
 // (recovery under loss/dup/reorder/corruption, budget exhaustion →
-// Status::kBudget, frame-cap error context), and the socket backend's
-// chaos recovery (recoverable chaos is invisible at collect; a spent
-// budget annotates the stall error).
+// Status::kBudget, frame-cap error context).
 #include "net/chaos.h"
 
 #include <gtest/gtest.h>
@@ -19,8 +17,6 @@
 #include <vector>
 
 #include "base/error.h"
-#include "net/socket.h"
-#include "net/transport.h"
 #include "net/wire.h"
 #include "net/worker.h"
 #include "stats/rng.h"
@@ -310,122 +306,6 @@ TEST(WorkerChannelErrors, FrameCapViolationNamesTypeLengthAndChannel) {
     EXPECT_NE(what.find("round"), std::string::npos) << what;
     EXPECT_NE(what.find(std::to_string(huge)), std::string::npos) << what;
   }
-}
-
-// ------------------------------------------------ socket backend chaos ----
-
-/// Restores the process-wide stall deadline on scope exit.
-class ScopedNetTimeout {
- public:
-  explicit ScopedNetTimeout(std::chrono::milliseconds timeout) : saved_(default_net_timeout()) {
-    set_default_net_timeout(timeout);
-  }
-  ~ScopedNetTimeout() { set_default_net_timeout(saved_); }
-
- private:
-  std::chrono::milliseconds saved_;
-};
-
-sim::Message random_traffic_message(stats::Rng& rng, std::size_t n, std::size_t round) {
-  sim::Message m;
-  m.from = rng.below(n);
-  m.to = rng.below(4) == 0 ? sim::kBroadcast : rng.below(n);
-  m.round = round;
-  m.tag = sim::Tag("t" + std::to_string(rng.below(8)));
-  const std::size_t size = rng.below(128);
-  for (std::size_t i = 0; i < size; ++i)
-    m.payload.push_back(static_cast<std::uint8_t>(rng.below(256)));
-  return m;
-}
-
-bool messages_equal(const sim::Message& a, const sim::Message& b) {
-  return a.from == b.from && a.to == b.to && a.round == b.round && a.tag == b.tag &&
-         a.payload == b.payload;
-}
-
-/// Recoverable chaos is invisible: the chaotic socket transport collects
-/// exactly what the clean one does, in the same order, per slot.
-TEST(SocketChaos, RecoverableChaosIsInvisibleAtCollect) {
-  constexpr std::size_t kParties = 3;
-  constexpr std::size_t kSlots = 4;
-  SocketTransport clean;
-  SocketTransport chaotic;
-  chaotic.configure_chaos(parse_chaos_spec("loss:0.15,dup:0.1,reorder:0.1:2,corrupt:0.003"),
-                          kMasterSeed);
-  clean.open(kParties, kSlots);
-  chaotic.open(kParties, kSlots);
-
-  stats::Rng rng = stats::Rng(kMasterSeed).fork("socket-chaos", 0);
-  for (std::size_t slot = 0; slot < kSlots; ++slot) {
-    const std::size_t count = 8 + rng.below(16);
-    for (std::size_t i = 0; i < count; ++i) {
-      const sim::Message m = random_traffic_message(rng, kParties, slot);
-      clean.submit(m, slot);
-      chaotic.submit(m, slot);
-    }
-  }
-  for (std::size_t slot = 0; slot < kSlots; ++slot) {
-    const std::vector<sim::Message> expect = clean.collect(slot);
-    const std::vector<sim::Message> got = chaotic.collect(slot);
-    ASSERT_EQ(got.size(), expect.size()) << "slot " << slot;
-    for (std::size_t i = 0; i < expect.size(); ++i)
-      ASSERT_TRUE(messages_equal(got[i], expect[i])) << "slot " << slot << " message " << i;
-  }
-  const ChaosStats& stats = chaotic.chaos_stats();
-  EXPECT_GT(stats.dropped + stats.corrupted + stats.duplicated + stats.reordered, 0u);
-  EXPECT_GT(stats.retransmits, 0u);
-  EXPECT_EQ(stats.budget_exhausted, 0u);
-  clean.close();
-  chaotic.close();
-}
-
-TEST(SocketChaos, PartyTargetingLeavesOtherChannelsClean) {
-  constexpr std::size_t kParties = 3;
-  SocketTransport transport;
-  transport.configure_chaos(parse_chaos_spec("loss:1,party:1"), kMasterSeed);
-  transport.open(kParties, 1);
-  // Traffic to untargeted parties rides a clean channel: no chaos columns
-  // move, and collect returns immediately.
-  transport.submit(sim::Message{0, 2, 0, "t", {1}}, 0);
-  transport.submit(sim::Message{2, 0, 0, "t", {2}}, 0);
-  const std::vector<sim::Message> got = transport.collect(0);
-  EXPECT_EQ(got.size(), 2u);
-  EXPECT_EQ(transport.chaos_stats().dropped, 0u);
-  transport.close();
-}
-
-TEST(SocketChaos, BudgetExhaustionAnnotatesTheStallError) {
-  const ScopedNetTimeout fast(std::chrono::milliseconds(400));
-  SocketTransport transport;
-  transport.configure_chaos(parse_chaos_spec("loss:1,budget:0"), kMasterSeed);
-  transport.open(2, 1);
-  transport.submit(sim::Message{0, 1, 0, "t", {1}}, 0);
-  try {
-    (void)transport.collect(0);
-    FAIL() << "collect returned despite certain loss and a zero budget";
-  } catch (const ProtocolError& e) {
-    EXPECT_NE(std::string(e.what()).find("chaos retransmit budget exhausted"),
-              std::string::npos)
-        << e.what();
-  }
-  EXPECT_EQ(transport.chaos_stats().budget_exhausted, 1u);
-  transport.close();
-}
-
-TEST(SocketChaos, ConfigureAfterOpenIsUsageError) {
-  SocketTransport transport;
-  transport.open(2, 1);
-  EXPECT_THROW(transport.configure_chaos(parse_chaos_spec("loss:0.1"), 1), UsageError);
-  transport.close();
-}
-
-TEST(SocketChaos, InProcessBackendIgnoresChaos) {
-  auto transport = make_transport(TransportKind::kInProcess);
-  transport->configure_chaos(parse_chaos_spec("loss:1,budget:0"), kMasterSeed);
-  transport->open(2, 1);
-  transport->submit(sim::Message{0, 1, 0, "t", {1}}, 0);
-  EXPECT_EQ(transport->collect(0).size(), 1u);  // no wire, no chaos
-  transport->close();
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 // Properties of the wire-chaos layer (net/chaos.h, DESIGN.md section 15):
 //
 //  1. Recoverable chaos is invisible.  For random (execution seed, chaos
-//     spec) pairs, a socket- or process-transport execution under loss,
-//     duplication, reordering, delay and corruption must be bit-identical
-//     to the clean in-process execution of the same seed — outputs,
-//     adversary output, rounds, crash list, and all nine traffic counters.
-//     The resilience machinery (CRC reject, seq dedup, ack/retransmit) is
-//     allowed to cost wall clock, never results.
+//     spec) pairs, a process-transport execution under loss, duplication,
+//     reordering, delay and corruption must be bit-identical to the clean
+//     in-process execution of the same seed — outputs, adversary output,
+//     rounds, crash list, and all nine traffic counters.  The resilience
+//     machinery (CRC reject, seq dedup, ack/retransmit) is allowed to cost
+//     wall clock, never results.  The in-process backend has no wire, so
+//     it ignores even a lethal spec.
 //
 //  2. Budget exhaustion degrades into exactly a scheduled crash.  A spec
 //     that pins certain loss on one party's channel at one round with a
@@ -85,48 +86,10 @@ void assert_identical(const sim::ExecutionResult& chaotic, const sim::ExecutionR
   ASSERT_EQ(diff, "") << reproducer;
 }
 
-TEST(ChaosProperty, RecoverableChaosIsInvisibleOnTheSocketBackend) {
-  constexpr std::size_t kPairs = 15;
-  const std::vector<std::string> protocols = {"gennaro", "cgma", "naive-commit-reveal"};
-  static const crypto::HashCommitmentScheme scheme;
-  const stats::Rng master(kMasterSeed);
-
-  for (std::size_t i = 0; i < kPairs; ++i) {
-    const auto proto = core::make_protocol(protocols[i % protocols.size()]);
-    const std::uint64_t exec_seed = master.fork("exec", i)();
-    const char* spec = kRecoverableSpecs[i % std::size(kRecoverableSpecs)];
-    const std::string reproducer =
-        "reproducer: master_seed=" + std::to_string(kMasterSeed) + " index=" +
-        std::to_string(i) + " exec_seed=" + std::to_string(exec_seed) + " protocol=" +
-        proto->name() + " chaos=" + spec;
-
-    stats::Rng input_rng(exec_seed);
-    BitVec inputs(kParties);
-    for (std::size_t b = 0; b < kParties; ++b) inputs.set(b, input_rng.bit());
-
-    sim::ProtocolParams params;
-    params.n = kParties;
-    params.commitments = &scheme;
-
-    sim::ExecutionConfig clean_config;
-    clean_config.seed = exec_seed;
-    const sim::ExecutionResult clean = run_one(*proto, params, inputs, clean_config);
-
-    sim::ExecutionConfig chaos_config;
-    chaos_config.seed = exec_seed;
-    chaos_config.transport = net::TransportKind::kSocket;
-    chaos_config.chaos = net::parse_chaos_spec(spec);
-    const sim::ExecutionResult chaotic = run_one(*proto, params, inputs, chaos_config);
-
-    assert_identical(chaotic, clean, reproducer);
-    ASSERT_TRUE(chaotic.crashed.empty()) << reproducer;
-  }
-}
-
 TEST(ChaosProperty, RecoverableChaosIsInvisibleOnTheProcessBackend) {
-  // Process executions spawn kParties workers each, so this sweep stays
-  // small; the socket sweep above carries the spec breadth.
-  constexpr std::size_t kPairs = 4;
+  // Process executions spawn kParties workers each, so the sweep stays
+  // small: one pair per recoverable spec.
+  constexpr std::size_t kPairs = std::size(kRecoverableSpecs);
   static const crypto::HashCommitmentScheme scheme;
   const stats::Rng master(kMasterSeed);
 
@@ -165,6 +128,31 @@ TEST(ChaosProperty, RecoverableChaosIsInvisibleOnTheProcessBackend) {
   errno = 0;
   ASSERT_EQ(::waitpid(-1, &status, WNOHANG), -1);
   ASSERT_EQ(errno, ECHILD);
+}
+
+TEST(ChaosProperty, InProcessBackendIgnoresChaos) {
+  static const crypto::HashCommitmentScheme scheme;
+  const auto proto = core::make_protocol("gennaro");
+  sim::ProtocolParams params;
+  params.n = kParties;
+  params.commitments = &scheme;
+  BitVec inputs(kParties);
+  inputs.set(1, true);
+
+  sim::ExecutionConfig clean_config;
+  clean_config.seed = kMasterSeed;
+  const sim::ExecutionResult clean = run_one(*proto, params, inputs, clean_config);
+
+  // Certain loss with no retransmit budget would kill every worker
+  // channel; in-process there is no wire for it to touch.
+  sim::ExecutionConfig chaos_config;
+  chaos_config.seed = kMasterSeed;
+  chaos_config.transport = net::TransportKind::kInProcess;
+  chaos_config.chaos = net::parse_chaos_spec("loss:1,budget:0");
+  const sim::ExecutionResult chaotic = run_one(*proto, params, inputs, chaos_config);
+
+  assert_identical(chaotic, clean, "in-process execution under loss:1,budget:0");
+  ASSERT_TRUE(chaotic.crashed.empty());
 }
 
 TEST(ChaosProperty, BudgetExhaustionEqualsScheduledCrash) {

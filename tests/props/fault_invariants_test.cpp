@@ -29,15 +29,18 @@ namespace {
 
 /// One sweep per protocol; seq-broadcast-ds runs n Dolev-Strong instances
 /// with Lamport signatures, so it gets a smaller n to keep the suite fast.
+/// `n` comes first: gtest prints the parameter as a byte dump, and that
+/// dump is part of each test's ctest name, so it must open with stable
+/// bytes rather than the string's heap pointer (which moves with ASLR).
 struct ProtoCase {
-  std::string name;
   std::size_t n;
+  std::string name;
 };
 
 std::vector<ProtoCase> proto_cases() {
   std::vector<ProtoCase> cases;
   for (const std::string& name : core::protocol_names())
-    cases.push_back({name, name == "seq-broadcast-ds" ? std::size_t{3} : std::size_t{4}});
+    cases.push_back({name == "seq-broadcast-ds" ? std::size_t{3} : std::size_t{4}, name});
   return cases;
 }
 
