@@ -40,7 +40,6 @@ int main(int argc, char** argv) {
       "CR/G/Sb testers; evidence only - not a proof";
   rec.seed = kSeed;
   core::print_banner(rec);
-  exec::BatchReport sweep_report;
 
   const auto proto = core::make_protocol("gennaro");
   static const crypto::HashCommitmentScheme scheme;
@@ -83,14 +82,9 @@ int main(int argc, char** argv) {
       spec.corrupted = row.corrupted;
       spec.adversary = row.factory;
 
-      const auto batch = testers::collect_batch(spec, *ens, 2500, kSeed);
-      sweep_report = core::merge(sweep_report, batch.report);
-      const auto cr = exec::timed_phase(
-          sweep_report.phases.evaluation,
-          [&] { return testers::test_cr(batch.samples, spec.corrupted); });
-      const auto g = exec::timed_phase(
-          sweep_report.phases.evaluation,
-          [&] { return testers::test_g(batch.samples, spec.corrupted); });
+      const auto batch = exec::Runner().run_batch(spec, *ens, 2500, kSeed);
+      const auto cr = testers::test_cr(batch.samples, spec.corrupted);
+      const auto g = testers::test_g(batch.samples, spec.corrupted);
       testers::SbOptions sb_options;
       sb_options.samples = 800;
       const auto sb = testers::test_sb(spec, *ens, sb_options, kSeed + 1);
@@ -110,7 +104,6 @@ int main(int argc, char** argv) {
   std::cout << "rounds(gennaro, n) = " << proto->rounds(64)
             << " for every n - constant, matching [12]'s efficiency target.\n";
 
-  rec.perf.report = sweep_report;
   rec.reproduced = all_pass;
   rec.detail = all_pass ? "no CR/G/Sb violation found for the constant-round candidate at "
                           "simulation scale (evidence, not proof)"

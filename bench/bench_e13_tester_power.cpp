@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
       "G on naive-commit-reveal/selective-abort (gap 1)";
   rec.seed = kSeed;
   core::print_banner(rec);
-  exec::BatchReport sweep_report;
 
   // Detection curve 1: CR on the Lemma 6.4 attack.
   const auto pig = core::make_protocol("flawed-pi-g");
@@ -63,18 +62,12 @@ int main(int argc, char** argv) {
   std::size_t cr_detect_at = 0;
   std::size_t g_detect_at = 0;
   for (const std::size_t count : kSampleCounts) {
-    const auto pig_batch = testers::collect_batch(pig_spec, *uniform5, count, kSeed);
-    sweep_report = core::merge(sweep_report, pig_batch.report);
-    const auto cr = exec::timed_phase(
-        sweep_report.phases.evaluation,
-        [&] { return testers::test_cr(pig_batch.samples, pig_spec.corrupted); });
+    const auto pig_batch = exec::Runner().run_batch(pig_spec, *uniform5, count, kSeed);
+    const auto cr = testers::test_cr(pig_batch.samples, pig_spec.corrupted);
     if (!cr.independent && cr_detect_at == 0) cr_detect_at = count;
 
-    const auto ncr_batch = testers::collect_batch(ncr_spec, *uniform4, count, kSeed + 1);
-    sweep_report = core::merge(sweep_report, ncr_batch.report);
-    const auto g = exec::timed_phase(
-        sweep_report.phases.evaluation,
-        [&] { return testers::test_g(ncr_batch.samples, ncr_spec.corrupted); });
+    const auto ncr_batch = exec::Runner().run_batch(ncr_spec, *uniform4, count, kSeed + 1);
+    const auto g = testers::test_g(ncr_batch.samples, ncr_spec.corrupted);
     if (!g.independent && g_detect_at == 0) g_detect_at = count;
 
     rec.cells.push_back({"CR @" + std::to_string(count), obs::record(cr)});
@@ -98,14 +91,9 @@ int main(int argc, char** argv) {
     spec.params.n = 4;
     spec.corrupted = {2};
     spec.adversary = adversary::passive_factory(*proto, spec.params);
-    const auto batch = testers::collect_batch(spec, *uniform4, 6400, kSeed + 2);
-    sweep_report = core::merge(sweep_report, batch.report);
-    const auto cr = exec::timed_phase(
-        sweep_report.phases.evaluation,
-        [&] { return testers::test_cr(batch.samples, spec.corrupted); });
-    const auto g = exec::timed_phase(
-        sweep_report.phases.evaluation,
-        [&] { return testers::test_g(batch.samples, spec.corrupted); });
+    const auto batch = exec::Runner().run_batch(spec, *uniform4, 6400, kSeed + 2);
+    const auto cr = testers::test_cr(batch.samples, spec.corrupted);
+    const auto g = testers::test_g(batch.samples, spec.corrupted);
     if (!cr.independent || !g.independent) {
       no_false_positives = false;
       std::cout << "FALSE POSITIVE on " << name << ": " << core::describe(cr) << " | "
@@ -120,7 +108,6 @@ int main(int argc, char** argv) {
        obs::check(no_false_positives, "honest/passive runs of every protocol stay quiet "
                                       "at 6400 samples")});
 
-  rec.perf.report = sweep_report;
   rec.reproduced = cr_detect_at > 0 && cr_detect_at <= 1600 && g_detect_at > 0 &&
                    g_detect_at <= 800 && no_false_positives;
   rec.detail = "CR detects the 1/4-gap at " + std::to_string(cr_detect_at) +

@@ -83,8 +83,8 @@ int main(int argc, char** argv) {
   bool middle_strict = false;
   bool right_strict = false;
   for (const Entry& e : entries) {
-    const dist::ClassReport r = exec::timed_phase(
-        rec.perf.report.phases.evaluation, [&] { return dist::classify(*e.ensemble, e.tau); });
+    const exec::EvaluationPhase evaluation;  // dist sits below exec: time classify here
+    const dist::ClassReport r = dist::classify(*e.ensemble, e.tau);
     const bool as_expected = r.locally_independent.member == e.expect_g &&
                              r.computationally_independent.member == e.expect_cr;
     rec.cells.push_back(

@@ -10,7 +10,6 @@
 // correlated inputs, so an input-borne predicate correlates with W_i no
 // matter how the protocol works.  As a control, the same protocols under
 // the (product) uniform ensemble all pass.
-#include <algorithm>
 #include <iostream>
 
 #include "core/registry.h"
@@ -43,7 +42,6 @@ int main(int argc, char** argv) {
   core::Table table({"protocol", "ensemble", "CR verdict", "max gap", "radius", "worst (i, R)"});
   bool all_correlated_flagged = true;
   bool all_uniform_passed = true;
-  exec::BatchReport sweep_report;
 
   for (const std::string& name : core::protocol_names()) {
     // seq-broadcast-ds is the substrate-cost variant of seq-broadcast; its
@@ -57,11 +55,8 @@ int main(int argc, char** argv) {
     spec.adversary = adversary::silent_factory();
 
     const auto eval = [&](const dist::InputEnsemble& ens, bool expect_violation) {
-      const auto batch = testers::collect_batch(spec, ens, kSamples, kSeed);
-      sweep_report = core::merge(sweep_report, batch.report);
-      const testers::CrVerdict v = exec::timed_phase(
-          sweep_report.phases.evaluation,
-          [&] { return testers::test_cr(batch.samples, spec.corrupted); });
+      const auto batch = exec::Runner().run_batch(spec, ens, kSamples, kSeed);
+      const testers::CrVerdict v = testers::test_cr(batch.samples, spec.corrupted);
       rec.cells.push_back({name + " x " + ens.name(), obs::record(v)});
       table.add_row({name, ens.name(), v.independent ? "independent" : "VIOLATED",
                      core::fmt(v.max_gap), core::fmt(v.radius),
@@ -75,28 +70,6 @@ int main(int argc, char** argv) {
   }
   std::cout << table.render() << "\n";
 
-  // With a parallel pool requested, re-run one representative cell serially
-  // and record the measured speedup next to the two batch reports (outputs
-  // are bit-identical by the engine's seeding contract, so this is a pure
-  // wall-clock comparison).
-  if (sweep_report.threads > 1) {
-    const auto proto = core::make_protocol("seq-broadcast");
-    testers::RunSpec spec;
-    spec.protocol = proto.get();
-    spec.params.n = 4;
-    spec.adversary = adversary::silent_factory();
-    const auto serial = testers::collect_batch(spec, *uniform, kSamples, kSeed, 1);
-    const auto parallel = testers::collect_batch(spec, *uniform, kSamples, kSeed);
-    std::cout << "[exec] speedup check (seq-broadcast x uniform): serial "
-              << core::fmt(serial.report.wall_seconds, 3) << "s vs " << parallel.report.threads
-              << " threads " << core::fmt(parallel.report.wall_seconds, 3) << "s = "
-              << core::fmt(serial.report.wall_seconds /
-                               std::max(parallel.report.wall_seconds, 1e-9),
-                           2)
-              << "x\n";
-  }
-
-  rec.perf.report = sweep_report;
   rec.reproduced = all_correlated_flagged && all_uniform_passed;
   rec.detail = std::string("every protocol violates CR under both non-Psi_C ensembles: ") +
                (all_correlated_flagged ? "yes" : "NO") +

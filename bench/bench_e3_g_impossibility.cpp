@@ -40,7 +40,6 @@ int main(int argc, char** argv) {
       {"protocol", "ensemble", "G verdict", "max excess", "worst gap", "conditionings"});
   bool all_correlated_flagged = true;
   bool all_uniform_passed = true;
-  exec::BatchReport sweep_report;
 
   for (const std::string& name : core::protocol_names()) {
     // seq-broadcast-ds is the substrate-cost variant of seq-broadcast; its
@@ -55,11 +54,8 @@ int main(int argc, char** argv) {
       spec.params.n = ens.bits();
       spec.corrupted = {ens.bits() - 1};  // the correlated coordinate
       spec.adversary = adversary::passive_factory(*proto, spec.params);
-      const auto batch = testers::collect_batch(spec, ens, kSamples, kSeed);
-      sweep_report = core::merge(sweep_report, batch.report);
-      const testers::GVerdict v = exec::timed_phase(
-          sweep_report.phases.evaluation,
-          [&] { return testers::test_g(batch.samples, spec.corrupted); });
+      const auto batch = exec::Runner().run_batch(spec, ens, kSamples, kSeed);
+      const testers::GVerdict v = testers::test_g(batch.samples, spec.corrupted);
       rec.cells.push_back({name + " x " + ens.name(), obs::record(v)});
       table.add_row({name, ens.name(), v.independent ? "independent" : "VIOLATED",
                      core::fmt(v.max_excess), core::fmt(v.worst.gap),
@@ -75,7 +71,6 @@ int main(int argc, char** argv) {
   }
   std::cout << table.render() << "\n";
 
-  rec.perf.report = sweep_report;
   rec.reproduced = all_correlated_flagged && all_uniform_passed;
   rec.detail =
       std::string("every protocol violates G under all three non-Psi_L ensembles: ") +

@@ -36,22 +36,19 @@ struct Row {
 };
 
 Row evaluate(const sim::ParallelBroadcastProtocol& proto, const dist::InputEnsemble& ens,
-             std::uint64_t seed, exec::BatchReport& sweep) {
+             std::uint64_t seed) {
   testers::RunSpec spec;
   spec.protocol = &proto;
   spec.params.n = ens.bits();
   spec.corrupted = {1, 3};
   spec.adversary = adversary::parity_factory();
-  const auto batch = testers::collect_batch(spec, ens, kSamples, seed);
-  sweep = core::merge(sweep, batch.report);
+  const auto batch = exec::Runner().run_batch(spec, ens, kSamples, seed);
   Row row;
   row.label = ens.name();
   for (const auto& s : batch.samples)
     if (s.announced.parity()) row.parity_always_zero = false;
-  row.cr = exec::timed_phase(sweep.phases.evaluation,
-                             [&] { return testers::test_cr(batch.samples, spec.corrupted); });
-  row.g = exec::timed_phase(sweep.phases.evaluation,
-                            [&] { return testers::test_g(batch.samples, spec.corrupted); });
+  row.cr = testers::test_cr(batch.samples, spec.corrupted);
+  row.g = testers::test_g(batch.samples, spec.corrupted);
   return row;
 }
 
@@ -69,7 +66,6 @@ int main(int argc, char** argv) {
       "ensemble; ensembles: uniform, product(.7), near-uniform noisy-copy";
   rec.seed = kSeed;
   core::print_banner(rec);
-  exec::BatchReport sweep_report;
 
   const auto proto = core::make_protocol("flawed-pi-g");
 
@@ -83,7 +79,7 @@ int main(int argc, char** argv) {
                      "CR max gap", "CR worst predicate"});
   bool ok = true;
   for (const auto& ens : ensembles) {
-    const Row row = evaluate(*proto, *ens, kSeed, sweep_report);
+    const Row row = evaluate(*proto, *ens, kSeed);
     rec.cells.push_back(
         {row.label + " parity", obs::check(row.parity_always_zero, "XOR(W) = 0 always")});
     rec.cells.push_back({row.label + " G", obs::record(row.g)});
@@ -98,7 +94,7 @@ int main(int argc, char** argv) {
 
   // Quantitative check on uniform: the CR gap at the parity predicate is
   // p(1-p) = 1/4.
-  const Row uniform_row = evaluate(*proto, *ensembles[0], kSeed + 1, sweep_report);
+  const Row uniform_row = evaluate(*proto, *ensembles[0], kSeed + 1);
   const bool gap_quarter = std::abs(uniform_row.cr.max_gap - 0.25) < 0.05;
   std::cout << "uniform CR gap = " << core::fmt(uniform_row.cr.max_gap)
             << " (paper: p(1-p) = 0.25 for the parity predicate)\n";
@@ -130,17 +126,12 @@ int main(int argc, char** argv) {
   mpc_spec.corrupted = {1, 3};
   mpc_spec.adversary = adversary::theta_mpc_parity_factory(*mpc_typed, mpc_spec.params);
   const auto mpc_batch =
-      testers::collect_batch(mpc_spec, *ensembles[0], kSamples / 2, kSeed + 9);
-  sweep_report = core::merge(sweep_report, mpc_batch.report);
+      exec::Runner().run_batch(mpc_spec, *ensembles[0], kSamples / 2, kSeed + 9);
   bool mpc_parity_zero = true;
   for (const auto& s : mpc_batch.samples)
     if (s.announced.parity()) mpc_parity_zero = false;
-  const testers::GVerdict mpc_g = exec::timed_phase(
-      sweep_report.phases.evaluation,
-      [&] { return testers::test_g(mpc_batch.samples, mpc_spec.corrupted); });
-  const testers::CrVerdict mpc_cr = exec::timed_phase(
-      sweep_report.phases.evaluation,
-      [&] { return testers::test_cr(mpc_batch.samples, mpc_spec.corrupted); });
+  const testers::GVerdict mpc_g = testers::test_g(mpc_batch.samples, mpc_spec.corrupted);
+  const testers::CrVerdict mpc_cr = testers::test_cr(mpc_batch.samples, mpc_spec.corrupted);
   core::Table ablation({"theta backend", "XOR(W)=0 always", "G verdict", "CR verdict",
                         "CR max gap"});
   ablation.add_row({"ideal functionality", uniform_row.parity_always_zero ? "yes" : "NO",
@@ -166,14 +157,11 @@ int main(int argc, char** argv) {
   honest_spec.params.n = 5;
   honest_spec.adversary = adversary::silent_factory();
   const auto honest_batch =
-      testers::collect_batch(honest_spec, *ensembles[0], kSamples, kSeed + 3);
-  sweep_report = core::merge(sweep_report, honest_batch.report);
-  const testers::CrVerdict honest_cr = exec::timed_phase(
-      sweep_report.phases.evaluation, [&] { return testers::test_cr(honest_batch.samples, {}); });
+      exec::Runner().run_batch(honest_spec, *ensembles[0], kSamples, kSeed + 3);
+  const testers::CrVerdict honest_cr = testers::test_cr(honest_batch.samples, {});
   std::cout << "honest control: " << core::describe(honest_cr) << "\n";
   rec.cells.push_back({"honest control CR", obs::record(honest_cr)});
 
-  rec.perf.report = sweep_report;
   rec.reproduced = ok && gap_quarter && gss.independent && honest_cr.independent && ablation_ok;
   rec.detail =
       "G passes / G** passes / CR fails with parity gap " + core::fmt(uniform_row.cr.max_gap) +

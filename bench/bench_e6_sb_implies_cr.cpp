@@ -35,7 +35,6 @@ int main(int argc, char** argv) {
       "n = 4, one corruption; 1200 executions per cell";
   rec.seed = kSeed;
   core::print_banner(rec);
-  exec::BatchReport sweep_report;
 
   std::vector<std::shared_ptr<dist::InputEnsemble>> grid;
   grid.push_back(dist::make_uniform(4));
@@ -67,11 +66,8 @@ int main(int argc, char** argv) {
         sb_options.samples = 600;
         const testers::SbVerdict sb = testers::test_sb(spec, *grid[gi], sb_options, kSeed + gi);
         sb_all = sb_all && sb.secure;
-        const auto batch = testers::collect_batch(spec, *grid[gi], 1200, kSeed + 100 + gi);
-        sweep_report = core::merge(sweep_report, batch.report);
-        const testers::CrVerdict cr = exec::timed_phase(
-            sweep_report.phases.evaluation,
-            [&] { return testers::test_cr(batch.samples, spec.corrupted); });
+        const auto batch = exec::Runner().run_batch(spec, *grid[gi], 1200, kSeed + 100 + gi);
+        const testers::CrVerdict cr = testers::test_cr(batch.samples, spec.corrupted);
         cr_all = cr_all && cr.independent;
       }
       // Lemma 6.1 only forbids (Sb pass, CR fail).
@@ -97,11 +93,8 @@ int main(int argc, char** argv) {
   spec.corrupted = {3};
   spec.adversary = adversary::copy_last_factory(0);
   const auto uniform = dist::make_uniform(4);
-  const auto batch = testers::collect_batch(spec, *uniform, 2000, kSeed + 7);
-  sweep_report = core::merge(sweep_report, batch.report);
-  const testers::CrVerdict cr = exec::timed_phase(
-      sweep_report.phases.evaluation,
-      [&] { return testers::test_cr(batch.samples, spec.corrupted); });
+  const auto batch = exec::Runner().run_batch(spec, *uniform, 2000, kSeed + 7);
+  const testers::CrVerdict cr = testers::test_cr(batch.samples, spec.corrupted);
   testers::SbOptions sb_options;
   sb_options.samples = 1000;
   const testers::SbVerdict sb = testers::test_sb(spec, *uniform, sb_options, kSeed + 8);
@@ -111,7 +104,6 @@ int main(int argc, char** argv) {
   rec.cells.push_back({"A.1 construction CR", obs::record(cr)});
   rec.cells.push_back({"A.1 construction Sb", obs::record(sb)});
 
-  rec.perf.report = sweep_report;
   rec.reproduced = implication_holds && contrapositive;
   rec.detail = std::string("no (Sb pass, CR fail) cell observed: ") +
                (implication_holds ? "yes" : "NO") +

@@ -27,20 +27,21 @@ using testers::RunSpec;
 
 /// The G* statistic: sweep all fixed inputs, compare each against the
 /// zeroed-honest-input hybrid.
-double gstar_gap(const RunSpec& spec, std::uint64_t seed, exec::BatchReport& sweep) {
+double gstar_gap(const RunSpec& spec, std::uint64_t seed) {
   const std::size_t n = spec.params.n;
   const auto honest = testers::honest_indices(n, spec.corrupted);
   stats::Rng master(seed);
+  const exec::Runner runner;
   double max_gap = 0.0;
   for (std::uint64_t x_bits = 0; x_bits < (std::uint64_t{1} << n); ++x_bits) {
     const BitVec x(n, x_bits);
     BitVec zeroed = x;
     for (std::size_t j : honest) zeroed.set(j, false);
-    const auto real = testers::collect_batch_fixed(spec, x, kPerInput, master.fork("r", x_bits)());
-    const auto hybrid =
-        testers::collect_batch_fixed(spec, zeroed, kPerInput, master.fork("h", x_bits)());
-    sweep = core::merge(core::merge(sweep, real.report), hybrid.report);
-    const exec::ScopedPhase timer(sweep.phases.evaluation);
+    const auto real = runner.run_batch(spec, x, kPerInput, master.fork("r", x_bits)());
+    const auto hybrid = runner.run_batch(spec, zeroed, kPerInput, master.fork("h", x_bits)());
+    // The G* statistic is evaluated here, not in a tester; account it the
+    // way the testers account theirs.
+    const exec::EvaluationPhase evaluation;
     for (std::size_t c : spec.corrupted) {
       double p_real = 0.0;
       double p_hybrid = 0.0;
@@ -66,7 +67,6 @@ int main(int argc, char** argv) {
       "executions per input, G on uniform with 4000 executions";
   rec.seed = kSeed;
   core::print_banner(rec);
-  exec::BatchReport sweep_report;
 
   struct Cell {
     std::string protocol;
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
   bool b4_all = true;
   for (std::size_t ci = 0; ci < cells.size(); ++ci) {
     const Cell& cell = cells[ci];
-    const double gs = gstar_gap(cell.spec, kSeed + ci, sweep_report);
+    const double gs = gstar_gap(cell.spec, kSeed + ci);
     const bool gstar_pass = gs <= kThreshold;
 
     testers::GssOptions gss_options;
@@ -121,11 +121,8 @@ int main(int argc, char** argv) {
     const testers::GssVerdict gss = testers::test_gstarstar(cell.spec, gss_options, kSeed + 40 + ci);
 
     const auto uniform = dist::make_uniform(cell.spec.params.n);
-    const auto batch = testers::collect_batch(cell.spec, *uniform, 4000, kSeed + 80 + ci);
-    sweep_report = core::merge(sweep_report, batch.report);
-    const testers::GVerdict g = exec::timed_phase(
-        sweep_report.phases.evaluation,
-        [&] { return testers::test_g(batch.samples, cell.spec.corrupted); });
+    const auto batch = exec::Runner().run_batch(cell.spec, *uniform, 4000, kSeed + 80 + ci);
+    const testers::GVerdict g = testers::test_g(batch.samples, cell.spec.corrupted);
 
     const bool b3 = gstar_pass == gss.independent;
     const bool b4 = !(gss.independent && !g.independent);
@@ -146,7 +143,6 @@ int main(int argc, char** argv) {
   }
   std::cout << table.render() << "\n";
 
-  rec.perf.report = sweep_report;
   rec.reproduced = b3_all && b4_all;
   rec.detail = std::string("G*/G** verdicts agree on every row: ") + (b3_all ? "yes" : "NO") +
                "; no (G** pass, G fail) row: " + (b4_all ? "yes" : "NO");

@@ -49,7 +49,9 @@ void BM_CrTester(benchmark::State& state) {
   spec.adversary = adversary::silent_factory();
   const auto uniform = dist::make_uniform(4);
   const auto samples =
-      testers::collect_samples(spec, *uniform, static_cast<std::size_t>(state.range(0)), 1);
+      exec::Runner()
+          .run_batch(spec, *uniform, static_cast<std::size_t>(state.range(0)), 1)
+          .samples;
   for (auto _ : state) benchmark::DoNotOptimize(testers::test_cr(samples, spec.corrupted));
 }
 BENCHMARK(BM_CrTester)->Arg(500)->Arg(2000);
@@ -63,7 +65,7 @@ void BM_SampleCollection(benchmark::State& state) {
   const auto uniform = dist::make_uniform(4);
   std::uint64_t seed = 0;
   for (auto _ : state)
-    benchmark::DoNotOptimize(testers::collect_samples(spec, *uniform, 10, seed++));
+    benchmark::DoNotOptimize(exec::Runner().run_batch(spec, *uniform, 10, seed++));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10);
 }
 BENCHMARK(BM_SampleCollection);

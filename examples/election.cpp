@@ -36,7 +36,6 @@ constexpr std::size_t kElections = 1500;
 struct Tally {
   double match_rate = 0.0;   ///< Pr[corrupted announced == honest P0 announced]
   double yes_rate = 0.0;     ///< Pr[measure passes]
-  exec::BatchReport report;  ///< engine accounting of the election batch
 };
 
 Tally run_elections(const std::string& protocol, const adversary::AdversaryFactory& factory,
@@ -52,16 +51,16 @@ Tally run_elections(const std::string& protocol, const adversary::AdversaryFacto
     for (std::size_t v = 0; v < kVoters; ++v) votes[e].set(v, rng.bernoulli(0.5));
     seeds[e] = rng.fork("e", e)();
   }
-  const core::SessionBatch batch = session.run_batch_seeded(votes, seeds, {6}, factory);
+  const std::vector<core::SessionResult> results =
+      session.run_batch_seeded(votes, seeds, {6}, factory);
 
   std::size_t matches = 0;
   std::size_t passes = 0;
-  for (const core::SessionResult& result : batch.results) {
+  for (const core::SessionResult& result : results) {
     if (result.announced.get(6) == result.announced.get(0)) ++matches;
     if (static_cast<std::size_t>(result.announced.popcount()) * 2 > kVoters) ++passes;
   }
-  return {static_cast<double>(matches) / kElections, static_cast<double>(passes) / kElections,
-          batch.report};
+  return {static_cast<double>(matches) / kElections, static_cast<double>(passes) / kElections};
 }
 
 }  // namespace
@@ -99,7 +98,6 @@ int main(int argc, char** argv) {
                     "commitments leave only input-independent abstention";
   rec.setup = "referendum, 7 voters, voter 6 corrupted, 1500 elections per scenario";
   rec.seed = 11;
-  rec.perf.report = core::merge(naive.report, fair.report);
   rec.cells.push_back(
       {"naive-commit-reveal correlated",
        obs::check(naive_correlated,

@@ -170,9 +170,7 @@ int main(int argc, char** argv) {
     rec.setup = setup.str();
     rec.seed = seed;
 
-    const auto batch = testers::collect_batch(spec, *ensemble, samples, seed);
-    const auto& sample_set = batch.samples;
-    rec.perf.report = batch.report;
+    const auto sample_set = exec::Runner().run_batch(spec, *ensemble, samples, seed).samples;
     const double consistency = testers::consistency_rate(sample_set);
     std::cout << "consistency rate: " << core::fmt(consistency) << "\n";
     rec.cells.push_back({"consistency",

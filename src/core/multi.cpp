@@ -40,13 +40,14 @@ ValueBroadcastResult ValueBroadcast::run_with_adversary(
     bit_inputs.push_back(std::move(inputs));
     bit_seeds[bit] = master.fork("bit", bit)();
   }
-  const SessionBatch batch = session_.run_batch_seeded(bit_inputs, bit_seeds, corrupted, adversary);
+  const std::vector<SessionResult> sessions =
+      session_.run_batch_seeded(bit_inputs, bit_seeds, corrupted, adversary);
 
   ValueBroadcastResult result;
   result.announced.assign(n_, 0);
   result.consistent = true;
   result.correct = true;
-  for (const SessionResult& session_result : batch.results) {
+  for (const SessionResult& session_result : sessions) {
     result.consistent = result.consistent && session_result.consistent;
     result.correct = result.correct && session_result.correct;
     result.total_rounds += session_result.rounds;

@@ -108,10 +108,6 @@ std::string describe(const obs::PerfRecord& p) {
   return os.str();
 }
 
-std::string describe(const exec::BatchReport& r) {
-  return describe(obs::PerfRecord{r});
-}
-
 std::string describe(const obs::MetricsSnapshot& m) {
   std::ostringstream os;
   bool first_line = true;
@@ -139,35 +135,6 @@ std::string describe(const obs::MetricsSnapshot& m) {
   return os.str();
 }
 
-exec::BatchReport merge(const exec::BatchReport& a, const exec::BatchReport& b) {
-  exec::BatchReport out;
-  out.executions = a.executions + b.executions;
-  out.threads = std::max(a.threads, b.threads);
-  out.wall_seconds = a.wall_seconds + b.wall_seconds;
-  out.completed = a.completed + b.completed;
-  out.partial = a.partial || b.partial;
-  out.quarantine = a.quarantine;
-  out.quarantine.insert(out.quarantine.end(), b.quarantine.begin(), b.quarantine.end());
-  out.throughput = exec::safe_throughput(out.completed, out.wall_seconds);
-  out.total_rounds = a.total_rounds + b.total_rounds;
-  out.traffic.messages = a.traffic.messages + b.traffic.messages;
-  out.traffic.point_to_point = a.traffic.point_to_point + b.traffic.point_to_point;
-  out.traffic.broadcasts = a.traffic.broadcasts + b.traffic.broadcasts;
-  out.traffic.wire_bytes = a.traffic.wire_bytes + b.traffic.wire_bytes;
-  out.traffic.wire_delivered_bytes = a.traffic.wire_delivered_bytes + b.traffic.wire_delivered_bytes;
-  out.traffic.dropped = a.traffic.dropped + b.traffic.dropped;
-  out.traffic.delayed = a.traffic.delayed + b.traffic.delayed;
-  out.traffic.blocked = a.traffic.blocked + b.traffic.blocked;
-  out.traffic.crashed = a.traffic.crashed + b.traffic.crashed;
-  out.phases.sampling = a.phases.sampling + b.phases.sampling;
-  out.phases.execution = a.phases.execution + b.phases.execution;
-  out.phases.evaluation = a.phases.evaluation + b.phases.evaluation;
-  // A merged report spans several campaigns; keep the first batch's id as
-  // the representative (metadata.campaigns in the record lists them all).
-  out.campaign = a.campaign != 0 ? a.campaign : b.campaign;
-  return out;
-}
-
 void print_banner(const std::string& experiment_id, const std::string& paper_claim,
                   const std::string& setup) {
   std::cout << "\n=== " << experiment_id << " ===\n"
@@ -185,10 +152,39 @@ void print_verdict_line(const std::string& experiment_id, bool reproduced,
             << " - " << detail << "\n";
 }
 
+namespace {
+
+std::uint64_t counter_value(const obs::MetricsSnapshot& metrics, const std::string& name) {
+  for (const obs::CounterSnapshot& c : metrics.counters)
+    if (c.name == name) return c.value;
+  return 0;
+}
+
+/// The record's self-consistency check (see finish_experiment).
+void check_consistency(const obs::ExperimentRecord& record) {
+  const exec::BatchReport& perf = record.perf.report;
+  const std::uint64_t counted = counter_value(record.metrics, "exec.executions") +
+                                counter_value(record.metrics, "exec.restored_slots");
+  if (perf.completed != counted)
+    throw UsageError(record.id + ": perf.completed " + std::to_string(perf.completed) +
+                     " != exec.executions + exec.restored_slots " + std::to_string(counted));
+  const sim::TrafficStats& t = perf.traffic;
+  if (t.messages != t.point_to_point + t.broadcasts)
+    throw UsageError(record.id + ": perf.traffic.messages " + std::to_string(t.messages) +
+                     " != point_to_point + broadcasts " +
+                     std::to_string(t.point_to_point + t.broadcasts));
+}
+
+}  // namespace
+
 int finish_experiment(const obs::ExperimentRecord& record) {
   obs::trace_instant("finish_experiment");
   obs::ExperimentRecord full = record;
+  // The engine owns the accounting: a driver's record states whatever work
+  // this process did, read from the process report like the metrics below.
+  if (full.perf.report.executions == 0) full.perf.report = exec::process_report();
   if (full.metrics.empty()) full.metrics = obs::Metrics::global().snapshot();
+  check_consistency(full);
   // Records state the conditions they were measured under: drivers that
   // didn't set a plan inherit whatever --drop/--delay/--crash installed.
   if (full.faults.empty()) full.faults = exec::default_fault_plan();

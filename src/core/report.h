@@ -49,19 +49,14 @@ class Table {
 [[nodiscard]] std::string describe(const testers::SbVerdict& v);
 
 /// Engine accounting line: executions, pool width, wall clock, throughput,
-/// aggregate traffic and per-phase breakdown of a batch (what the "[exec]"
-/// bench lines print).  The BatchReport overload wraps the record one.
+/// aggregate traffic and per-phase breakdown (what the "[exec]" bench
+/// lines print).
 [[nodiscard]] std::string describe(const obs::PerfRecord& r);
-[[nodiscard]] std::string describe(const exec::BatchReport& r);
 
 /// Metrics registry lines ("[metrics] ..."): one line for the counters,
 /// one per histogram (count / mean / tails).  Rendered from the same
 /// snapshot the JSON serializes, like every other describe().
 [[nodiscard]] std::string describe(const obs::MetricsSnapshot& m);
-
-/// Sums batch reports of one sweep into a single aggregate (wall clocks
-/// and phase breakdowns add; throughput is recomputed from the sums).
-[[nodiscard]] exec::BatchReport merge(const exec::BatchReport& a, const exec::BatchReport& b);
 
 /// Experiment banner: id, paper claim, and what is being run.
 void print_banner(const std::string& experiment_id, const std::string& paper_claim,
@@ -76,11 +71,17 @@ void print_verdict_line(const std::string& experiment_id, bool reproduced,
 
 /// The uniform bench epilogue: prints the record's [exec] accounting line
 /// (when any batch ran), its [metrics] registry lines, and its verdict
-/// line; fills record.metrics from obs::Metrics::global() when the driver
-/// left it empty; emits BENCH_<id>.json when a JSON sink is configured
-/// (--json= / SIMULCAST_JSON) and TRACE_<id>.json when a trace sink is
-/// (--trace= / SIMULCAST_TRACE); returns the driver's exit code (0 iff
-/// reproduced).
+/// line; fills record.perf from exec::process_report() and record.metrics
+/// from obs::Metrics::global() when the driver left them empty; emits
+/// BENCH_<id>.json when a JSON sink is configured (--json= /
+/// SIMULCAST_JSON) and TRACE_<id>.json when a trace sink is (--trace= /
+/// SIMULCAST_TRACE); returns the driver's exit code (0 iff reproduced).
+///
+/// Before printing anything it checks that the record agrees with itself
+/// and throws UsageError when it does not: perf.completed must equal the
+/// exec.executions plus exec.restored_slots counters (a resumed slot is
+/// counted only by the second, a quarantined slot by neither), and
+/// perf.traffic.messages must equal point_to_point plus broadcasts.
 int finish_experiment(const obs::ExperimentRecord& record);
 
 }  // namespace simulcast::core

@@ -2,8 +2,6 @@
 
 #include "broadcast/parallel_broadcast.h"
 #include "core/registry.h"
-#include "obs/trace.h"
-#include "sim/network.h"
 
 namespace simulcast::core {
 
@@ -31,51 +29,16 @@ SessionResult Session::run_with_adversary(const BitVec& inputs,
                                           const std::vector<sim::PartyId>& corrupted,
                                           const adversary::AdversaryFactory& adversary,
                                           std::uint64_t seed) const {
-  // The serial single-execution path; batch sweeps get their "rep" spans
-  // from the engine instead.
-  obs::TraceSpan span("session");
-  span.arg("n", params_.n);
-  sim::ExecutionConfig config;
-  config.seed = seed;
-  config.corrupted = corrupted;
-  // Same fallback the batch path gets from exec::run_one, so serial and
-  // batch runs of one seed stay identical under the process-default knobs.
-  config.faults = faults_.empty() ? exec::default_fault_plan() : faults_;
-
-  const std::unique_ptr<sim::Adversary> adv = adversary();
-  const sim::ExecutionResult exec =
-      sim::run_execution(*protocol_, params_, inputs, *adv, config);
-  const broadcast::Announced announced = broadcast::extract_announced(exec, corrupted);
-
-  SessionResult result;
-  result.announced = announced.consistent ? announced.w : BitVec(params_.n);
-  result.consistent = announced.consistent;
-  result.correct = broadcast::correct_for_honest(announced, inputs, corrupted);
-  result.rounds = exec.rounds;
-  result.traffic = exec.traffic;
-  return result;
+  // A batch of one: the prepared overload runs `seed` as given, so this is
+  // exactly the execution sim::run_execution computes for that seed.
+  return std::move(run_batch_seeded({inputs}, {seed}, corrupted, adversary).front());
 }
 
-SessionBatch Session::run_batch(const std::vector<BitVec>& inputs, std::uint64_t seed,
-                                std::size_t threads) const {
-  return run_batch_with_adversary(inputs, {}, adversary::silent_factory(), seed, threads);
-}
-
-SessionBatch Session::run_batch_with_adversary(const std::vector<BitVec>& inputs,
-                                               const std::vector<sim::PartyId>& corrupted,
-                                               const adversary::AdversaryFactory& adversary,
-                                               std::uint64_t seed, std::size_t threads) const {
-  const stats::Rng master(seed);
-  std::vector<std::uint64_t> seeds(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) seeds[i] = master.fork("session", i)();
-  return run_batch_seeded(inputs, seeds, corrupted, adversary, threads);
-}
-
-SessionBatch Session::run_batch_seeded(const std::vector<BitVec>& inputs,
-                                       const std::vector<std::uint64_t>& seeds,
-                                       const std::vector<sim::PartyId>& corrupted,
-                                       const adversary::AdversaryFactory& adversary,
-                                       std::size_t threads) const {
+std::vector<SessionResult> Session::run_batch_seeded(const std::vector<BitVec>& inputs,
+                                                     const std::vector<std::uint64_t>& seeds,
+                                                     const std::vector<sim::PartyId>& corrupted,
+                                                     const adversary::AdversaryFactory& adversary,
+                                                     std::size_t threads) const {
   exec::RunSpec spec;
   spec.protocol = protocol_.get();
   spec.params = params_;
@@ -83,11 +46,10 @@ SessionBatch Session::run_batch_seeded(const std::vector<BitVec>& inputs,
   spec.adversary = adversary;
   spec.faults = faults_;
 
-  exec::BatchResult batch = exec::Runner(threads).run_batch(spec, inputs, seeds);
+  const exec::BatchResult batch = exec::Runner(threads).run_batch(spec, inputs, seeds);
 
-  SessionBatch out;
-  out.report = batch.report;
-  out.results.reserve(batch.samples.size());
+  std::vector<SessionResult> out;
+  out.reserve(batch.samples.size());
   for (std::size_t i = 0; i < batch.samples.size(); ++i) {
     const exec::Sample& s = batch.samples[i];
     SessionResult r;
@@ -98,7 +60,7 @@ SessionBatch Session::run_batch_seeded(const std::vector<BitVec>& inputs,
     r.correct = broadcast::correct_for_honest({s.announced, s.consistent}, inputs[i], corrupted);
     r.rounds = s.rounds;
     r.traffic = s.traffic;
-    out.results.push_back(std::move(r));
+    out.push_back(std::move(r));
   }
   return out;
 }

@@ -30,12 +30,6 @@ struct SessionResult {
   [[nodiscard]] std::size_t wire_bytes() const { return traffic.wire_bytes; }
 };
 
-/// A repetition sweep's results plus the engine's batch accounting.
-struct SessionBatch {
-  std::vector<SessionResult> results;  ///< one per input vector, in order
-  exec::BatchReport report;
-};
-
 class Session {
  public:
   /// `protocol` is a registry name (core/registry.h).
@@ -58,23 +52,12 @@ class Session {
       const BitVec& inputs, const std::vector<sim::PartyId>& corrupted,
       const adversary::AdversaryFactory& adversary, std::uint64_t seed) const;
 
-  /// Repetition sweep: runs one all-honest session per input vector, with
-  /// per-session seeds `master(seed).fork("session", i)`, sharded across
-  /// `threads` workers (0 = exec::default_threads()).  Results are ordered
-  /// and bit-identical for every thread count.
-  [[nodiscard]] SessionBatch run_batch(const std::vector<BitVec>& inputs, std::uint64_t seed,
-                                       std::size_t threads = 0) const;
-
-  /// Adversarial repetition sweep with the same seeding contract.
-  [[nodiscard]] SessionBatch run_batch_with_adversary(
-      const std::vector<BitVec>& inputs, const std::vector<sim::PartyId>& corrupted,
-      const adversary::AdversaryFactory& adversary, std::uint64_t seed,
-      std::size_t threads = 0) const;
-
-  /// Sweep with caller-derived per-session seeds (how ValueBroadcast's
-  /// per-bit sessions and seed-compatible callers ride the engine without
-  /// changing their historical seed derivation).
-  [[nodiscard]] SessionBatch run_batch_seeded(
+  /// Repetition sweep: one session per input vector, session i with seed
+  /// seeds[i] as given (how ValueBroadcast's per-bit sessions and the
+  /// election example keep their historical seed derivations), sharded
+  /// across `threads` workers (0 = exec::default_threads()).  Results are
+  /// ordered and bit-identical for every thread count.
+  [[nodiscard]] std::vector<SessionResult> run_batch_seeded(
       const std::vector<BitVec>& inputs, const std::vector<std::uint64_t>& seeds,
       const std::vector<sim::PartyId>& corrupted, const adversary::AdversaryFactory& adversary,
       std::size_t threads = 0) const;

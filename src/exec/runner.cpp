@@ -45,6 +45,16 @@ BatchOptions& batch_options_override() {
   return options;
 }
 
+// The process report (process_report()); one mutex lets concurrent batches
+// and testers add to it.
+std::mutex g_process_report_mutex;
+BatchReport g_process_report;
+
+void account(const BatchReport& report) {
+  const std::lock_guard<std::mutex> lock(g_process_report_mutex);
+  g_process_report = merge(std::move(g_process_report), report);
+}
+
 // Graceful-shutdown state.  The stop flag is an atomic<bool> (lock-free on
 // every target we build for) so the signal handler's store is
 // async-signal-safe; everything else is ordinary cross-thread state touched
@@ -238,11 +248,12 @@ bool attempt_repetition(const RunSpec& spec, const BitVec& input, std::uint64_t 
 /// the stop flag, which always drains so ^C works for every driver.
 BatchResult run_prepared(const RunSpec& spec, std::size_t threads, const BatchOptions& options,
                          const std::function<const BitVec&(std::size_t)>& input_for,
-                         const std::vector<std::uint64_t>& seeds) {
+                         const std::vector<std::uint64_t>& seeds, double sampling_seconds = 0.0) {
   const std::size_t count = seeds.size();
   BatchResult out;
   out.samples.resize(count);
   out.report.executions = count;
+  out.report.phases.sampling = sampling_seconds;
   // parallel_for clamps the pool to the batch size; report the worker count
   // that actually ran, not the requested width (a 4-rep batch at
   // --threads=16 runs 4-wide).
@@ -464,15 +475,7 @@ BatchResult run_prepared(const RunSpec& spec, std::size_t threads, const BatchOp
   out.report.throughput = safe_throughput(done, out.report.wall_seconds);
   for (const Sample& s : out.samples) {
     out.report.total_rounds += s.rounds;
-    out.report.traffic.messages += s.traffic.messages;
-    out.report.traffic.point_to_point += s.traffic.point_to_point;
-    out.report.traffic.broadcasts += s.traffic.broadcasts;
-    out.report.traffic.wire_bytes += s.traffic.wire_bytes;
-    out.report.traffic.wire_delivered_bytes += s.traffic.wire_delivered_bytes;
-    out.report.traffic.dropped += s.traffic.dropped;
-    out.report.traffic.delayed += s.traffic.delayed;
-    out.report.traffic.blocked += s.traffic.blocked;
-    out.report.traffic.crashed += s.traffic.crashed;
+    out.report.traffic += s.traffic;
   }
 
   if (obs::log_enabled()) {
@@ -498,6 +501,7 @@ BatchResult run_prepared(const RunSpec& spec, std::size_t threads, const BatchOp
     obs::flush_sinks();
   }
   obs::set_current_campaign(0);
+  account(out.report);
   return out;
 }
 
@@ -575,6 +579,36 @@ void set_stop_after(std::size_t completed) {
 
 double safe_throughput(std::size_t executions, double wall_seconds) {
   return wall_seconds > 0.0 ? static_cast<double>(executions) / wall_seconds : 0.0;
+}
+
+BatchReport merge(BatchReport a, const BatchReport& b) {
+  a.executions += b.executions;
+  a.threads = std::max(a.threads, b.threads);
+  a.wall_seconds += b.wall_seconds;
+  a.completed += b.completed;
+  a.partial = a.partial || b.partial;
+  a.quarantine.insert(a.quarantine.end(), b.quarantine.begin(), b.quarantine.end());
+  a.throughput = safe_throughput(a.completed, a.wall_seconds);
+  a.total_rounds += b.total_rounds;
+  a.traffic += b.traffic;
+  a.phases.sampling += b.phases.sampling;
+  a.phases.execution += b.phases.execution;
+  a.phases.evaluation += b.phases.evaluation;
+  // A merged report spans several campaigns; keep the first batch's id as
+  // the representative (metadata.campaigns in the record lists them all).
+  if (a.campaign == 0) a.campaign = b.campaign;
+  return a;
+}
+
+BatchReport process_report() {
+  const std::lock_guard<std::mutex> lock(g_process_report_mutex);
+  return g_process_report;
+}
+
+EvaluationPhase::~EvaluationPhase() {
+  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start_;
+  const std::lock_guard<std::mutex> lock(g_process_report_mutex);
+  g_process_report.phases.evaluation += elapsed.count();
 }
 
 bool apply_resilience_knob(const std::string& arg) {
@@ -856,11 +890,9 @@ BatchResult Runner::run_batch(const RunSpec& spec, const dist::InputEnsemble& en
     const ScopedPhase timer(sampling_seconds, "sampling");
     for (std::size_t rep = 0; rep < count; ++rep) inputs.push_back(ensemble.sample(input_rng));
   }
-  BatchResult out = run_prepared(spec, threads_, options_,
-                                 [&inputs](std::size_t rep) -> const BitVec& { return inputs[rep]; },
-                                 fork_seeds(seed, "exec", count));
-  out.report.phases.sampling = sampling_seconds;
-  return out;
+  return run_prepared(spec, threads_, options_,
+                      [&inputs](std::size_t rep) -> const BitVec& { return inputs[rep]; },
+                      fork_seeds(seed, "exec", count), sampling_seconds);
 }
 
 BatchResult Runner::run_batch(const RunSpec& spec, const BitVec& input, std::size_t count,

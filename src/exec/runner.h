@@ -160,13 +160,13 @@ void set_stop_after(std::size_t completed);
 /// Executions-per-second with the 0/0 guard: tiny batches on coarse clocks
 /// can measure wall_seconds == 0.0, and inf/NaN would poison the JSON sink
 /// (non-finite doubles serialize as null).  Shared by the engine and
-/// core::merge so no throughput is ever computed unguarded.
+/// merge so no throughput is ever computed unguarded.
 [[nodiscard]] double safe_throughput(std::size_t executions, double wall_seconds);
 
-/// Per-phase wall-clock breakdown of a batch: where the time actually went.
-/// `sampling` and `execution` are stamped by the Runner; `evaluation` is
-/// accumulated by whoever runs a tester over the samples (the bench drivers
-/// wrap their tester calls in timed_phase).
+/// Per-phase wall-clock breakdown: where the time actually went.
+/// `sampling` and `execution` are stamped by the Runner per batch;
+/// `evaluation` is tester time, accumulated into the process report by
+/// EvaluationPhase (a batch's own report always reads 0 there).
 struct PhaseSeconds {
   double sampling = 0.0;    ///< drawing inputs from the ensemble (serial)
   double execution = 0.0;   ///< the sharded protocol-execution region
@@ -273,16 +273,30 @@ class ScopedPhase {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Runs `body`, accumulating its wall-clock time into `slot`, and returns
-/// the body's result — the one-liner the bench drivers wrap tester calls in
-/// to attribute evaluation time: `timed_phase(report.phases.evaluation, ...)`.
-/// The default trace name matches that use; pass another name (or nullptr)
-/// when timing a different phase.
-template <typename Body>
-auto timed_phase(double& slot, Body&& body, const char* trace_name = "evaluation") {
-  const ScopedPhase timer(slot, trace_name);
-  return std::forward<Body>(body)();
-}
+/// Sums two reports: counts, traffic, clocks and phases add, `partial` ORs,
+/// quarantines concatenate, threads is the widest pool, and throughput is
+/// recomputed from the sums.
+[[nodiscard]] BatchReport merge(BatchReport a, const BatchReport& b);
+
+/// Every batch completed in this process (a batch that throws is not),
+/// merged, plus the evaluation time EvaluationPhase scopes accounted.
+/// core::finish_experiment makes it the record's perf block.  Thread-safe.
+[[nodiscard]] BatchReport process_report();
+
+/// Scoped timer adding its lifetime to the process report's
+/// phases.evaluation (plus an "evaluation" trace span).  The testers open
+/// one around their statistics; do not nest (the inner time counts twice).
+class EvaluationPhase {
+ public:
+  EvaluationPhase() : span_("evaluation"), start_(std::chrono::steady_clock::now()) {}
+  ~EvaluationPhase();
+  EvaluationPhase(const EvaluationPhase&) = delete;
+  EvaluationPhase& operator=(const EvaluationPhase&) = delete;
+
+ private:
+  obs::TraceSpan span_;
+  std::chrono::steady_clock::time_point start_;
+};
 
 /// Runs body(i) for every i in [0, count) on up to `threads` workers and
 /// returns once all indices completed.  If any body throws, remaining

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "base/error.h"
-#include "obs/metrics.h"
 
 namespace simulcast::net {
 
@@ -48,14 +47,6 @@ std::chrono::milliseconds default_net_timeout() noexcept {
 
 void set_default_net_timeout(std::chrono::milliseconds timeout) noexcept {
   g_net_timeout_ms.store(timeout.count(), std::memory_order_relaxed);
-}
-
-void record_transport_metrics(const WireStats& stats) {
-  if (stats.frames == 0) return;
-  static obs::Counter& frames = obs::Metrics::global().counter("net.frames");
-  static obs::Counter& bytes = obs::Metrics::global().counter("net.bytes_on_wire");
-  frames.add(stats.frames);
-  bytes.add(stats.bytes_on_wire);
 }
 
 }  // namespace simulcast::net

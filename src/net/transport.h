@@ -1,4 +1,4 @@
-// The --transport= knob and the net.* wire accounting.
+// The --transport= and --net-timeout= knobs.
 //
 // The round scheduler (sim/network.cpp) owns the messages between rounds:
 // one slot-indexed mailbox per delivery slot, where a submit is a vector
@@ -16,11 +16,11 @@
 // party code runs and how its bytes move, never what an execution
 // computes.  "Bytes on wire" is priced the same way on both — every
 // scheduled message is charged encoded_size() bytes — so the net.frames /
-// net.bytes_on_wire counters are pure functions of the traffic.
+// net.bytes_on_wire counters (recorded by the scheduler) are pure
+// functions of the traffic.
 #pragma once
 
 #include <chrono>
-#include <cstddef>
 #include <string_view>
 
 namespace simulcast::net {
@@ -59,18 +59,5 @@ void set_default_transport_kind(TransportKind kind) noexcept;
 /// the transport-kind default.
 [[nodiscard]] std::chrono::milliseconds default_net_timeout() noexcept;
 void set_default_net_timeout(std::chrono::milliseconds timeout) noexcept;
-
-/// One execution's scheduled traffic in wire terms: a frame per message
-/// handed to a delivery slot (after FaultPlan drops and delays) and its
-/// encoded_size() bytes.  Deterministic, like TrafficStats.
-struct WireStats {
-  std::size_t frames = 0;
-  std::size_t bytes_on_wire = 0;
-};
-
-/// Feeds the net.frames / net.bytes_on_wire registry counters from one
-/// execution's stats.  Called by the scheduler once per execution; an
-/// execution that scheduled no frame records nothing.
-void record_transport_metrics(const WireStats& stats);
 
 }  // namespace simulcast::net

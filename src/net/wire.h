@@ -1,6 +1,6 @@
 // The wire format: a flat, length-prefixed binary framing of sim::Message,
 // spoken between the process coordinator and its workers (net/worker.h)
-// and used to price scheduled traffic (net/transport.h).
+// and used to price scheduled traffic (the net.* counters in sim/network.cpp).
 //
 // One frame is
 //

@@ -53,6 +53,19 @@ void record_alloc_metrics(const MessagePool::Stats& stats) {
   released.add(stats.released);
 }
 
+/// Wire-accounting registry feeds (net.frames / net.bytes_on_wire): one
+/// frame per message scheduled into a delivery slot (after drops and
+/// delays), priced at its net::encoded_size().  Pure functions of the
+/// traffic, so identical on every transport; recorded once per execution,
+/// and not at all by an execution that scheduled no frame.
+void record_wire_metrics(std::size_t frames, std::size_t bytes_on_wire) {
+  if (frames == 0) return;
+  static obs::Counter& frame_count = obs::Metrics::global().counter("net.frames");
+  static obs::Counter& bytes = obs::Metrics::global().counter("net.bytes_on_wire");
+  frame_count.add(frames);
+  bytes.add(bytes_on_wire);
+}
+
 /// Fault-accounting registry feeds; recorded once per execution, only when
 /// the plan was nonempty (the fault-free path touches no fault metric).
 void record_fault_metrics(const TrafficStats& traffic) {
@@ -520,7 +533,8 @@ ExecutionResult run_execution(const ParallelBroadcastProtocol& protocol,
   // collect is a move, so delivery order is submission order on every
   // transport; each scheduled message is priced as one encoded_size() frame.
   std::vector<std::vector<Message>> mailboxes(total_rounds + 1);
-  net::WireStats wire;
+  std::size_t frames = 0;
+  std::size_t bytes_on_wire = 0;
 
   // Routes one round's outgoing traffic, applying drops and delays.
   // Functionality traffic models an ideal subprotocol and is exempt.
@@ -544,8 +558,8 @@ ExecutionResult run_execution(const ParallelBroadcastProtocol& protocol,
           }
         }
       }
-      ++wire.frames;
-      wire.bytes_on_wire += net::encoded_size(m);
+      ++frames;
+      bytes_on_wire += net::encoded_size(m);
       mailboxes[slot].push_back(std::move(m));
     }
   };
@@ -745,7 +759,7 @@ ExecutionResult run_execution(const ParallelBroadcastProtocol& protocol,
   // Worker deaths count as crashes even under an empty plan.
   if (!plan.empty() || result.traffic.crashed > 0) record_fault_metrics(result.traffic);
   record_alloc_metrics(payload_pool.stats());
-  net::record_transport_metrics(wire);
+  record_wire_metrics(frames, bytes_on_wire);
   return result;
 }
 

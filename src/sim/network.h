@@ -86,6 +86,20 @@ struct TrafficStats {
   std::size_t delayed = 0;         ///< messages assigned a nonzero delivery delay
   std::size_t blocked = 0;         ///< p2p link-deliveries suppressed by partitions
   std::size_t crashed = 0;         ///< honest parties crashed by the plan
+
+  /// Field-wise sum: how batches and the process report aggregate traffic.
+  TrafficStats& operator+=(const TrafficStats& o) {
+    messages += o.messages;
+    point_to_point += o.point_to_point;
+    broadcasts += o.broadcasts;
+    wire_bytes += o.wire_bytes;
+    wire_delivered_bytes += o.wire_delivered_bytes;
+    dropped += o.dropped;
+    delayed += o.delayed;
+    blocked += o.blocked;
+    crashed += o.crashed;
+    return *this;
+  }
 };
 
 struct ExecutionResult {

@@ -31,6 +31,7 @@ std::vector<CrPredicate> default_cr_predicates(std::size_t reduced_bits) {
 CrVerdict test_cr(const std::vector<Sample>& samples,
                   const std::vector<sim::PartyId>& corrupted, const CrOptions& options) {
   if (samples.empty()) throw UsageError("test_cr: no samples");
+  const exec::EvaluationPhase evaluation;
   const std::size_t n = samples.front().announced.size();
   const std::vector<std::size_t> honest = honest_indices(n, corrupted);
   if (honest.empty()) throw UsageError("test_cr: no honest party to test");

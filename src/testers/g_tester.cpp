@@ -11,6 +11,7 @@ namespace simulcast::testers {
 GVerdict test_g(const std::vector<Sample>& samples,
                 const std::vector<sim::PartyId>& corrupted, const GOptions& options) {
   if (samples.empty()) throw UsageError("test_g: no samples");
+  const exec::EvaluationPhase evaluation;
   if (corrupted.empty()) throw UsageError("test_g: no corrupted party to test");
   const std::size_t n = samples.front().announced.size();
   const std::vector<std::size_t> honest = honest_indices(n, corrupted);

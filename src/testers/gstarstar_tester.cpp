@@ -33,6 +33,7 @@ GssVerdict test_gstarstar(const RunSpec& spec, const GssOptions& options, std::u
                                                 options.alpha / std::max(1.0, tests));
 
   stats::Rng master(seed);
+  const exec::Runner runner;
   for (std::size_t wi = 0; wi < w_list.size(); ++wi) {
     const BitVec& w = w_list[wi];
     if (w.size() != spec.corrupted.size())
@@ -44,8 +45,10 @@ GssVerdict test_gstarstar(const RunSpec& spec, const GssOptions& options, std::u
     for (std::size_t h = 0; h < honest_count; ++h) {
       const BitVec honest_vec(honest.size(), h);
       const BitVec input = BitVec::splice(n, spec.corrupted, w, honest_vec);
-      const std::vector<Sample> samples = collect_samples_fixed(
-          spec, input, options.samples_per_input, master.fork("gss", wi * honest_count + h)());
+      const std::uint64_t batch_seed = master.fork("gss", wi * honest_count + h)();
+      const std::vector<Sample> samples =
+          runner.run_batch(spec, input, options.samples_per_input, batch_seed).samples;
+      const exec::EvaluationPhase evaluation;
       verdict.executions += samples.size();
       for (const Sample& s : samples)
         for (std::size_t ci = 0; ci < spec.corrupted.size(); ++ci)
@@ -53,6 +56,7 @@ GssVerdict test_gstarstar(const RunSpec& spec, const GssOptions& options, std::u
       for (std::size_t ci = 0; ci < spec.corrupted.size(); ++ci)
         p_one[h][ci] /= static_cast<double>(samples.size());
     }
+    const exec::EvaluationPhase evaluation;
     for (std::size_t ci = 0; ci < spec.corrupted.size(); ++ci) {
       for (std::size_t a = 0; a < honest_count; ++a) {
         for (std::size_t b = a + 1; b < honest_count; ++b) {

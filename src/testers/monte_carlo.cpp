@@ -4,27 +4,6 @@
 
 namespace simulcast::testers {
 
-std::vector<Sample> collect_samples(const RunSpec& spec, const dist::InputEnsemble& ensemble,
-                                    std::size_t count, std::uint64_t seed, std::size_t threads) {
-  return collect_batch(spec, ensemble, count, seed, threads).samples;
-}
-
-std::vector<Sample> collect_samples_fixed(const RunSpec& spec, const BitVec& input,
-                                          std::size_t count, std::uint64_t seed,
-                                          std::size_t threads) {
-  return collect_batch_fixed(spec, input, count, seed, threads).samples;
-}
-
-exec::BatchResult collect_batch(const RunSpec& spec, const dist::InputEnsemble& ensemble,
-                                std::size_t count, std::uint64_t seed, std::size_t threads) {
-  return exec::Runner(threads).run_batch(spec, ensemble, count, seed);
-}
-
-exec::BatchResult collect_batch_fixed(const RunSpec& spec, const BitVec& input, std::size_t count,
-                                      std::uint64_t seed, std::size_t threads) {
-  return exec::Runner(threads).run_batch(spec, input, count, seed);
-}
-
 double consistency_rate(const std::vector<Sample>& samples) {
   if (samples.empty()) throw UsageError("consistency_rate: empty sample set");
   std::size_t ok = 0;

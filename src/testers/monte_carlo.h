@@ -1,14 +1,11 @@
-// Monte-Carlo execution harness shared by all independence testers.
+// Sample vocabulary shared by all independence testers.
 //
 // Each tester estimates the literal quantity in its definition from N
 // independent executions: fresh input draw, fresh protocol randomness,
 // fresh adversary instance, all derived from (seed, repetition index) so a
-// whole experiment replays exactly.
-//
-// Since the exec::Runner engine landed, this header is a thin facade: the
-// repetition loop, the seed derivation and the parallel sharding live in
-// exec/runner.h, and `threads` (0 = exec::default_threads()) only changes
-// wall-clock time, never a single output bit.
+// whole experiment replays exactly.  The executions themselves run on the
+// exec::Runner engine (exec/runner.h); this header names its types in the
+// testers' terms and adds the small sample-set helpers.
 #pragma once
 
 #include <vector>
@@ -22,30 +19,6 @@ using RunSpec = exec::RunSpec;
 
 /// One execution's observables.
 using Sample = exec::Sample;
-
-/// Runs `count` executions with inputs drawn from `ensemble`.
-[[nodiscard]] std::vector<Sample> collect_samples(const RunSpec& spec,
-                                                  const dist::InputEnsemble& ensemble,
-                                                  std::size_t count, std::uint64_t seed,
-                                                  std::size_t threads = 0);
-
-/// Runs `count` executions with the given fixed input vector (the quantity
-/// Announced^Π_A(x) of Definition 3.1; used by the G** tester).
-[[nodiscard]] std::vector<Sample> collect_samples_fixed(const RunSpec& spec, const BitVec& input,
-                                                        std::size_t count, std::uint64_t seed,
-                                                        std::size_t threads = 0);
-
-/// collect_samples, but also returning the engine's per-batch accounting
-/// (wall clock, throughput, aggregated traffic).
-[[nodiscard]] exec::BatchResult collect_batch(const RunSpec& spec,
-                                              const dist::InputEnsemble& ensemble,
-                                              std::size_t count, std::uint64_t seed,
-                                              std::size_t threads = 0);
-
-/// collect_samples_fixed with the batch report.
-[[nodiscard]] exec::BatchResult collect_batch_fixed(const RunSpec& spec, const BitVec& input,
-                                                    std::size_t count, std::uint64_t seed,
-                                                    std::size_t threads = 0);
 
 /// Fraction of samples with consistent honest outputs (should be ~1 for a
 /// correct parallel-broadcast protocol under any adversary).  Throws

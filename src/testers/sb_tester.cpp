@@ -54,47 +54,43 @@ SbVerdict test_sb(const RunSpec& spec, const dist::InputEnsemble& ensemble,
   stats::Rng master(seed);
   stats::Rng input_rng = master.fork("sb-inputs");
 
-  // Inputs and per-repetition seeds are derived serially, exactly as the
-  // historical loop consumed them; the 2*samples executions then shard
-  // across the exec engine and land in repetition-indexed slots, so the
-  // verdict is bit-identical for every thread count.
+  // Inputs and per-repetition seeds are derived serially; each world then
+  // runs as one engine batch with repetition-indexed slots, so the verdict
+  // is bit-identical for every thread count.  Repetition rep executes with
+  // Rng(master.fork("sb-real", rep)()).fork("exec-fixed", 0)() (resp.
+  // "sb-ideal"): the Sb seed stream every pinned verdict and committed
+  // baseline was measured with (DESIGN.md section 6).
+  const auto exec_seed = [](std::uint64_t batch_seed) {
+    return stats::Rng(batch_seed).fork("exec-fixed", 0)();
+  };
   std::vector<BitVec> xs;
+  std::vector<BitVec> dummies;
   xs.reserve(options.samples);
+  dummies.reserve(options.samples);
   std::vector<std::uint64_t> real_seeds(options.samples);
   std::vector<std::uint64_t> ideal_seeds(options.samples);
   for (std::size_t rep = 0; rep < options.samples; ++rep) {
     xs.push_back(ensemble.sample(input_rng));
-    real_seeds[rep] = master.fork("sb-real", rep)();
-    ideal_seeds[rep] = master.fork("sb-ideal", rep)();
+    // The dummy-input simulator's sandbox: honest inputs pinned to 0.
+    dummies.push_back(xs.back());
+    for (std::size_t j : honest) dummies.back().set(j, false);
+    real_seeds[rep] = exec_seed(master.fork("sb-real", rep)());
+    ideal_seeds[rep] = exec_seed(master.fork("sb-ideal", rep)());
   }
+  const exec::Runner runner;
+  const exec::BatchResult real = runner.run_batch(spec, xs, real_seeds);
+  const exec::BatchResult sandbox = runner.run_batch(spec, dummies, ideal_seeds);
 
-  std::vector<std::pair<BitVec, BitVec>> real_pairs(options.samples);
-  std::vector<std::pair<BitVec, BitVec>> ideal_pairs(options.samples);
-  exec::parallel_for(options.samples, exec::default_threads(), [&](std::size_t rep) {
-    const BitVec& x = xs[rep];
-
-    // Real world.
-    {
-      const std::vector<Sample> s = collect_samples_fixed(spec, x, 1, real_seeds[rep], 1);
-      real_pairs[rep] = {x, s.front().announced};
-    }
-    // Ideal world with the dummy-input simulator: sandbox the adversary on
-    // honest inputs pinned to 0 and read off the corrupted announced values.
-    {
-      BitVec dummy = x;
-      for (std::size_t j : honest) dummy.set(j, false);
-      const std::vector<Sample> s = collect_samples_fixed(spec, dummy, 1, ideal_seeds[rep], 1);
-      BitVec w_ideal = x;  // f_SB hands honest inputs through verbatim
-      for (std::size_t c : spec.corrupted) w_ideal.set(c, s.front().announced.get(c));
-      ideal_pairs[rep] = {x, w_ideal};
-    }
-  });
-
+  const exec::EvaluationPhase evaluation;
+  // Ideal world: f_SB hands honest inputs through verbatim and takes the
+  // corrupted announced values the sandboxed adversary produced.
+  std::vector<BitVec> ideal_w = xs;
   stats::EmpiricalDist real_joint(2 * n);
   stats::EmpiricalDist ideal_joint(2 * n);
   for (std::size_t rep = 0; rep < options.samples; ++rep) {
-    real_joint.add(pack_pair(real_pairs[rep].first, real_pairs[rep].second));
-    ideal_joint.add(pack_pair(ideal_pairs[rep].first, ideal_pairs[rep].second));
+    for (std::size_t c : spec.corrupted) ideal_w[rep].set(c, sandbox.samples[rep].announced.get(c));
+    real_joint.add(pack_pair(xs[rep], real.samples[rep].announced));
+    ideal_joint.add(pack_pair(xs[rep], ideal_w[rep]));
   }
 
   SbVerdict verdict;
@@ -107,8 +103,10 @@ SbVerdict test_sb(const RunSpec& spec, const dist::InputEnsemble& ensemble,
   for (const SbDistinguisher& d : lib) {
     double p_real = 0.0;
     double p_ideal = 0.0;
-    for (const auto& [x, w] : real_pairs) p_real += d.eval(x, w) ? 1.0 : 0.0;
-    for (const auto& [x, w] : ideal_pairs) p_ideal += d.eval(x, w) ? 1.0 : 0.0;
+    for (std::size_t rep = 0; rep < options.samples; ++rep) {
+      p_real += d.eval(xs[rep], real.samples[rep].announced) ? 1.0 : 0.0;
+      p_ideal += d.eval(xs[rep], ideal_w[rep]) ? 1.0 : 0.0;
+    }
     p_real /= static_cast<double>(options.samples);
     p_ideal /= static_cast<double>(options.samples);
     const double gap = std::abs(p_real - p_ideal);

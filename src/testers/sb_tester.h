@@ -58,7 +58,9 @@ struct SbOptions {
   double margin = 0.05;  ///< max distinguisher gap must clear radius + margin
 };
 
-/// Runs real and simulated ensembles over `ensemble` and compares them.
+/// Runs real and simulated ensembles over `ensemble` and compares them:
+/// 2 x options.samples executions, as two exec::Runner batches (one per
+/// world) at the default pool width.
 [[nodiscard]] SbVerdict test_sb(const RunSpec& spec, const dist::InputEnsemble& ensemble,
                                 const SbOptions& options, std::uint64_t seed);
 

@@ -103,5 +103,27 @@ TEST(Report, DescribeContainsKeyNumbers) {
   EXPECT_NE(s.find("0.2500"), std::string::npos);
 }
 
+// A record that disagrees with itself is never written: finish_experiment
+// checks perf.completed against the execution counters and the traffic
+// split before printing or emitting anything.
+TEST(Report, FinishExperimentRejectsInconsistentRecords) {
+  obs::ExperimentRecord rec;
+  rec.id = "test/self-check";
+  rec.perf.report.executions = 6;
+  rec.perf.report.completed = 6;
+  rec.metrics.counters.push_back({"exec.executions", 4});
+  EXPECT_THROW((void)finish_experiment(rec), UsageError);  // 6 != 4 + 0
+
+  // Resumed slots count on the restored_slots counter, not exec.executions.
+  rec.metrics.counters.push_back({"exec.restored_slots", 2});
+  rec.perf.report.traffic.messages = 10;
+  rec.perf.report.traffic.point_to_point = 3;
+  rec.perf.report.traffic.broadcasts = 6;
+  EXPECT_THROW((void)finish_experiment(rec), UsageError);  // 10 != 3 + 6
+
+  rec.perf.report.traffic.broadcasts = 7;
+  EXPECT_EQ(finish_experiment(rec), 1);  // consistent; exit code 1 = not reproduced
+}
+
 }  // namespace
 }  // namespace simulcast::core

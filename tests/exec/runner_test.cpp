@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "base/error.h"
+#include "broadcast/parallel_broadcast.h"
 #include "core/registry.h"
 #include "core/report.h"
 #include "core/session.h"
@@ -19,7 +20,9 @@
 #include "obs/metrics.h"
 #include "obs/records.h"
 #include "obs/trace.h"
-#include "testers/monte_carlo.h"
+#include "testers/cr_tester.h"
+#include "testers/gstarstar_tester.h"
+#include "testers/sb_tester.h"
 
 namespace simulcast::exec {
 namespace {
@@ -55,9 +58,9 @@ TEST(Runner, ParallelMatchesSerialForAllProtocols) {
     const RunSpec spec = spec_for(*proto, 4);
     // seq-broadcast-ds signs everything; a handful of executions suffices.
     const std::size_t count = name == "seq-broadcast-ds" ? 3 : 10;
-    const auto serial = testers::collect_samples(spec, *ens, count, 7, 1);
+    const auto serial = Runner(1).run_batch(spec, *ens, count, 7).samples;
     for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-      const auto parallel = testers::collect_samples(spec, *ens, count, 7, threads);
+      const auto parallel = Runner(threads).run_batch(spec, *ens, count, 7).samples;
       ASSERT_EQ(serial.size(), parallel.size()) << name;
       for (std::size_t i = 0; i < serial.size(); ++i)
         EXPECT_TRUE(same_sample(serial[i], parallel[i])) << name << " rep " << i;
@@ -69,9 +72,9 @@ TEST(Runner, ParallelMatchesSerialFixedInput) {
   const auto proto = core::make_protocol("gennaro");
   const RunSpec spec = spec_for(*proto, 4);
   const BitVec input = BitVec::from_string("1010");
-  const auto serial = testers::collect_samples_fixed(spec, input, 16, 11, 1);
+  const auto serial = Runner(1).run_batch(spec, input, 16, 11).samples;
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    const auto parallel = testers::collect_samples_fixed(spec, input, 16, 11, threads);
+    const auto parallel = Runner(threads).run_batch(spec, input, 16, 11).samples;
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
       EXPECT_TRUE(same_sample(serial[i], parallel[i])) << "rep " << i;
@@ -82,7 +85,7 @@ TEST(Runner, BatchReportAggregatesTraffic) {
   const auto proto = core::make_protocol("gennaro");
   const RunSpec spec = spec_for(*proto, 4);
   const auto ens = dist::make_uniform(4);
-  const auto batch = testers::collect_batch(spec, *ens, 12, 3, 2);
+  const auto batch = Runner(2).run_batch(spec, *ens, 12, 3);
   EXPECT_EQ(batch.report.executions, 12u);
   EXPECT_EQ(batch.report.threads, 2u);
   EXPECT_GT(batch.report.wall_seconds, 0.0);
@@ -104,9 +107,9 @@ TEST(Runner, BatchReportThreadsRecordsActualWorkers) {
   const auto proto = core::make_protocol("gennaro");
   const RunSpec spec = spec_for(*proto, 4);
   const auto ens = dist::make_uniform(4);
-  const auto clamped = testers::collect_batch(spec, *ens, 4, 3, 16);
+  const auto clamped = Runner(16).run_batch(spec, *ens, 4, 3);
   EXPECT_EQ(clamped.report.threads, 4u);  // 16 requested, only 4 executions
-  const auto serial = testers::collect_batch(spec, *ens, 4, 3, 1);
+  const auto serial = Runner(1).run_batch(spec, *ens, 4, 3);
   EXPECT_EQ(serial.report.threads, 1u);
 }
 
@@ -117,7 +120,7 @@ TEST(Runner, BatchReportCarriesPhaseBreakdown) {
   const auto proto = core::make_protocol("gennaro");
   const RunSpec spec = spec_for(*proto, 4);
   const auto ens = dist::make_uniform(4);
-  const auto batch = testers::collect_batch(spec, *ens, 16, 3, 2);
+  const auto batch = Runner(2).run_batch(spec, *ens, 16, 3);
   EXPECT_GT(batch.report.phases.sampling, 0.0);
   EXPECT_GT(batch.report.phases.execution, 0.0);
   EXPECT_DOUBLE_EQ(batch.report.phases.execution, batch.report.wall_seconds);
@@ -162,7 +165,7 @@ TEST(Runner, TracingNeverPerturbsSamplesOrRecords) {
   obs::clear_trace();
   ASSERT_FALSE(obs::trace_enabled());
   obs::Metrics::global().reset();
-  const auto baseline = testers::collect_batch(spec, *ens, kReps, 7, 1);
+  const auto baseline = Runner(1).run_batch(spec, *ens, kReps, 7);
   const std::string baseline_json = obs::to_json(canonical_record(baseline.report));
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -170,7 +173,7 @@ TEST(Runner, TracingNeverPerturbsSamplesOrRecords) {
     obs::clear_trace();
     ASSERT_TRUE(obs::trace_enabled());
     obs::Metrics::global().reset();
-    const auto traced = testers::collect_batch(spec, *ens, kReps, 7, threads);
+    const auto traced = Runner(threads).run_batch(spec, *ens, kReps, 7);
     const std::string traced_json = obs::to_json(canonical_record(traced.report));
     const std::vector<obs::TraceEvent> events = obs::drain_trace();
     obs::set_default_trace_path("");
@@ -203,7 +206,7 @@ TEST(Runner, FaultInjectionDeterministicAcrossThreadsAndTracing) {
   ASSERT_EQ(unsetenv("SIMULCAST_TRACE"), 0);
   obs::set_default_trace_path("");
   obs::clear_trace();
-  const auto baseline = testers::collect_batch(spec, *ens, kReps, 13, 1);
+  const auto baseline = Runner(1).run_batch(spec, *ens, kReps, 13);
   std::size_t faults_seen = 0;
   for (const Sample& s : baseline.samples)
     faults_seen += s.traffic.dropped + s.traffic.delayed + s.traffic.blocked + s.traffic.crashed;
@@ -214,7 +217,7 @@ TEST(Runner, FaultInjectionDeterministicAcrossThreadsAndTracing) {
     obs::clear_trace();
     ASSERT_EQ(obs::trace_enabled(), tracing);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      const auto rerun = testers::collect_batch(spec, *ens, kReps, 13, threads);
+      const auto rerun = Runner(threads).run_batch(spec, *ens, kReps, 13);
       ASSERT_EQ(baseline.samples.size(), rerun.samples.size());
       for (std::size_t i = 0; i < baseline.samples.size(); ++i)
         EXPECT_TRUE(same_sample(baseline.samples[i], rerun.samples[i]))
@@ -239,11 +242,11 @@ TEST(Runner, DefaultFaultPlanReachesBatches) {
   sim::FaultPlan plan;
   plan.crashes.push_back({1, 0});
   set_default_fault_plan(plan);
-  const auto faulty = testers::collect_batch(spec, *ens, 4, 5, 1);
+  const auto faulty = Runner(1).run_batch(spec, *ens, 4, 5);
   set_default_fault_plan({});
   EXPECT_EQ(faulty.report.traffic.crashed, 4u) << "party 1 crashes once per execution";
 
-  const auto clean = testers::collect_batch(spec, *ens, 4, 5, 1);
+  const auto clean = Runner(1).run_batch(spec, *ens, 4, 5);
   EXPECT_EQ(clean.report.traffic.crashed, 0u);
   EXPECT_TRUE(default_fault_plan().empty());
 }
@@ -284,8 +287,7 @@ TEST(Runner, ExceptionPropagatesWithoutDeadlock) {
   spec.adversary = adversary::silent_factory();
   const BitVec input(4);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    EXPECT_THROW((void)testers::collect_samples_fixed(spec, input, 64, 1, threads),
-                 ProtocolError);
+    EXPECT_THROW((void)Runner(threads).run_batch(spec, input, 64, 1), ProtocolError);
   }
 }
 
@@ -322,7 +324,9 @@ TEST(DefaultThreads, OverrideAndClear) {
 }
 
 // Session-level sweeps ride the same engine: a sharded batch must equal the
-// one-at-a-time facade calls it replaced.
+// one-at-a-time Session calls, and a single Session run is the execution a
+// bare sim::run_execution with the same seed computes (the batch of one
+// runs its seed as given).
 TEST(SessionBatch, MatchesSerialSessions) {
   const core::Session session("gennaro", 4);
   std::vector<BitVec> inputs;
@@ -331,23 +335,83 @@ TEST(SessionBatch, MatchesSerialSessions) {
     inputs.push_back(BitVec(4, i & 0xF));
     seeds.push_back(1000 + i);
   }
-  const core::SessionBatch batch = session.run_batch_seeded(
+  const std::vector<core::SessionResult> batch = session.run_batch_seeded(
       inputs, seeds, {1}, adversary::copy_last_factory(0), 4);
-  ASSERT_EQ(batch.results.size(), inputs.size());
-  EXPECT_EQ(batch.report.executions, inputs.size());
+  ASSERT_EQ(batch.size(), inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     const core::SessionResult one =
         session.run_with_adversary(inputs[i], {1}, adversary::copy_last_factory(0), seeds[i]);
-    EXPECT_EQ(batch.results[i].announced, one.announced) << i;
-    EXPECT_EQ(batch.results[i].consistent, one.consistent) << i;
-    EXPECT_EQ(batch.results[i].correct, one.correct) << i;
-    EXPECT_EQ(batch.results[i].rounds, one.rounds) << i;
-    EXPECT_EQ(batch.results[i].traffic.messages, one.traffic.messages) << i;
-    EXPECT_EQ(batch.results[i].traffic.point_to_point, one.traffic.point_to_point) << i;
-    EXPECT_EQ(batch.results[i].traffic.broadcasts, one.traffic.broadcasts) << i;
-    EXPECT_EQ(batch.results[i].traffic.wire_bytes, one.traffic.wire_bytes) << i;
-    EXPECT_EQ(batch.results[i].traffic.wire_delivered_bytes, one.traffic.wire_delivered_bytes) << i;
+    EXPECT_EQ(batch[i].announced, one.announced) << i;
+    EXPECT_EQ(batch[i].consistent, one.consistent) << i;
+    EXPECT_EQ(batch[i].correct, one.correct) << i;
+    EXPECT_EQ(batch[i].rounds, one.rounds) << i;
+    EXPECT_EQ(batch[i].traffic.messages, one.traffic.messages) << i;
+    EXPECT_EQ(batch[i].traffic.point_to_point, one.traffic.point_to_point) << i;
+    EXPECT_EQ(batch[i].traffic.broadcasts, one.traffic.broadcasts) << i;
+    EXPECT_EQ(batch[i].traffic.wire_bytes, one.traffic.wire_bytes) << i;
+    EXPECT_EQ(batch[i].traffic.wire_delivered_bytes, one.traffic.wire_delivered_bytes) << i;
   }
+  sim::ExecutionConfig config;
+  config.seed = seeds[5];
+  config.corrupted = {1};
+  const std::unique_ptr<sim::Adversary> adv = adversary::copy_last_factory(0)();
+  const sim::ExecutionResult bare =
+      sim::run_execution(session.protocol(), session.params(), inputs[5], *adv, config);
+  EXPECT_EQ(bare.rounds, batch[5].rounds);
+  EXPECT_EQ(bare.traffic.wire_bytes, batch[5].traffic.wire_bytes);
+  EXPECT_EQ(broadcast::extract_announced(bare, {1}).w, batch[5].announced);
+}
+
+// The engine owns the accounting.  A driver-shaped sequence — an ensemble
+// batch with its CR verdict, an Sb test, a G** test and one Session run —
+// must land in the process report exactly as often as the exec.executions
+// counter ticks, with test_sb contributing both of its worlds (2 x S), at
+// every pool width.
+TEST(ProcessReport, CountsEveryExecutionOfADriverSequence) {
+  constexpr std::size_t kSbSamples = 24;
+  const auto proto = core::make_protocol("gennaro");
+  const auto ens = dist::make_uniform(4);
+  const obs::Counter& executions = obs::Metrics::global().counter("exec.executions");
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    set_default_threads(threads);
+    const BatchReport before = process_report();
+    const std::uint64_t counted_before = executions.value();
+
+    const RunSpec spec = spec_for(*proto, 4);
+    const BatchResult batch = Runner().run_batch(spec, *ens, 40, 3);
+    (void)testers::test_cr(batch.samples, spec.corrupted);
+    const BatchReport after_cr = process_report();
+    EXPECT_EQ(after_cr.completed - before.completed, 40u);
+    EXPECT_GT(after_cr.phases.evaluation, before.phases.evaluation) << "test_cr time accounted";
+
+    RunSpec passive = spec;
+    passive.corrupted = {3};
+    passive.adversary = adversary::passive_factory(*proto, passive.params);
+    testers::SbOptions sb;
+    sb.samples = kSbSamples;
+    (void)testers::test_sb(passive, *ens, sb, 5);
+    const BatchReport after_sb = process_report();
+    EXPECT_EQ(after_sb.completed - after_cr.completed, 2 * kSbSamples);
+
+    testers::GssOptions gss;
+    gss.samples_per_input = 6;
+    const testers::GssVerdict gss_verdict = testers::test_gstarstar(passive, gss, 7);
+    const BatchReport after_gss = process_report();
+    EXPECT_EQ(after_gss.completed - after_sb.completed, gss_verdict.executions);
+
+    const core::Session session("gennaro", 4);
+    (void)session.run(BitVec::from_string("1010"), 9);
+    const BatchReport after = process_report();
+    EXPECT_EQ(after.completed - after_gss.completed, 1u);
+
+    EXPECT_EQ(after.completed - before.completed, executions.value() - counted_before)
+        << "threads=" << threads;
+    EXPECT_EQ(after.executions - before.executions, after.completed - before.completed);
+    EXPECT_EQ(after.traffic.messages - before.traffic.messages,
+              (after.traffic.point_to_point - before.traffic.point_to_point) +
+                  (after.traffic.broadcasts - before.traffic.broadcasts));
+  }
+  set_default_threads(0);
 }
 
 // A legacy batch (default options) reports full resilience accounting:
@@ -356,7 +420,7 @@ TEST(Runner, LegacyBatchReportsFullCompletion) {
   const auto proto = core::make_protocol("gennaro");
   const RunSpec spec = spec_for(*proto, 4);
   const auto ens = dist::make_uniform(4);
-  const auto batch = testers::collect_batch(spec, *ens, 6, 3, 2);
+  const auto batch = Runner(2).run_batch(spec, *ens, 6, 3);
   EXPECT_EQ(batch.report.completed, batch.report.executions);
   EXPECT_FALSE(batch.report.partial);
   EXPECT_TRUE(batch.report.quarantine.empty());
@@ -364,7 +428,7 @@ TEST(Runner, LegacyBatchReportsFullCompletion) {
 
 // Throughput's 0/0 guard: coarse clocks can measure wall_seconds == 0.0 for
 // a tiny batch, and inf/NaN would poison the JSON sink (non-finite doubles
-// serialize as null).  Both the engine's helper and core::merge must report
+// serialize as null).  Both the engine's helper and merge must report
 // 0, never a non-finite value.
 TEST(SafeThroughput, ZeroWallClockReportsZeroNotInf) {
   EXPECT_DOUBLE_EQ(safe_throughput(100, 0.0), 0.0);
@@ -380,7 +444,7 @@ TEST(SafeThroughput, ZeroWallClockReportsZeroNotInf) {
   b.executions = 50;
   b.completed = 50;
   b.wall_seconds = 0.0;
-  const BatchReport merged = core::merge(a, b);
+  const BatchReport merged = merge(a, b);
   EXPECT_EQ(merged.executions, 100u);
   EXPECT_DOUBLE_EQ(merged.throughput, 0.0);
   EXPECT_TRUE(std::isfinite(merged.throughput));
@@ -398,7 +462,7 @@ TEST(Merge, CombinesResilienceAccounting) {
   b.executions = 10;
   b.completed = 6;
   b.partial = true;
-  const BatchReport merged = core::merge(a, b);
+  const BatchReport merged = merge(a, b);
   EXPECT_EQ(merged.completed, 15u);
   EXPECT_TRUE(merged.partial);
   ASSERT_EQ(merged.quarantine.size(), 1u);

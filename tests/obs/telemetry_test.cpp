@@ -329,7 +329,7 @@ TEST(Status, HeartbeatStreamFromRealBatch) {
   const auto proto = core::make_protocol("gennaro");
   const exec::RunSpec spec = spec_for(*proto, 4);
   const auto ens = dist::make_uniform(4);
-  const auto batch = testers::collect_batch(spec, *ens, 24, 7, 2);
+  const auto batch = exec::Runner(2).run_batch(spec, *ens, 24, 7);
   obs::set_default_status_interval(1.0);
   ASSERT_NE(batch.report.campaign, 0u);
 
@@ -369,8 +369,8 @@ TEST(Status, CompletedIsMonotoneAcrossBatches) {
   const auto proto = core::make_protocol("gennaro");
   const exec::RunSpec spec = spec_for(*proto, 4);
   const auto ens = dist::make_uniform(4);
-  (void)testers::collect_batch(spec, *ens, 10, 7, 1);
-  (void)testers::collect_batch(spec, *ens, 6, 8, 1);
+  (void)exec::Runner(1).run_batch(spec, *ens, 10, 7);
+  (void)exec::Runner(1).run_batch(spec, *ens, 6, 8);
   obs::set_default_status_interval(1.0);
 
   const std::vector<std::string> lines = read_lines(path);
@@ -427,7 +427,7 @@ TEST(Telemetry, NeverPerturbsSamplesOrRecords) {
 
   ASSERT_FALSE(obs::log_enabled());
   ASSERT_FALSE(obs::status_enabled());
-  const auto baseline = testers::collect_batch(spec, *ens, kReps, 7, 1);
+  const auto baseline = exec::Runner(1).run_batch(spec, *ens, kReps, 7);
   ASSERT_NE(baseline.report.campaign, 0u);
   const std::string baseline_json = obs::to_json(canonical_record(baseline.report));
 
@@ -442,7 +442,7 @@ TEST(Telemetry, NeverPerturbsSamplesOrRecords) {
       const std::string context = std::string(net::transport_kind_name(kind)) +
                                   " threads=" + std::to_string(threads);
 
-      const auto telemetered = testers::collect_batch(spec, *ens, kReps, 7, threads);
+      const auto telemetered = exec::Runner(threads).run_batch(spec, *ens, kReps, 7);
       EXPECT_EQ(telemetered.report.campaign, baseline.report.campaign) << context;
       ASSERT_EQ(baseline.samples.size(), telemetered.samples.size()) << context;
       for (std::size_t i = 0; i < kReps; ++i)
@@ -491,7 +491,7 @@ TEST(Telemetry, ArtifactsJoinOnCorrelationIds) {
   const exec::RunSpec spec = spec_for(*proto, 4);
   const auto ens = dist::make_uniform(4);
   constexpr std::size_t kReps = 8;
-  const auto batch = testers::collect_batch(spec, *ens, kReps, 11, 2);
+  const auto batch = exec::Runner(2).run_batch(spec, *ens, kReps, 11);
   obs::set_default_status_interval(1.0);
 
   const std::uint64_t campaign = batch.report.campaign;

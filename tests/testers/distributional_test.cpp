@@ -26,7 +26,7 @@ TEST(Distributional, AttackedPiGAnnouncedLawIsEvenParityUniform) {
   spec.corrupted = {1, 3};
   spec.adversary = adversary::parity_factory();
   const auto ens = dist::make_uniform(5);
-  const auto samples = collect_samples(spec, *ens, 8000, kSeed);
+  const auto samples = exec::Runner().run_batch(spec, *ens, 8000, kSeed).samples;
 
   stats::EmpiricalDist announced(5);
   for (const Sample& s : samples) announced.add(s.announced);
@@ -46,7 +46,7 @@ TEST(Distributional, HonestProtocolAnnouncedLawEqualsInputLaw) {
     spec.protocol = proto.get();
     spec.params.n = 4;
     spec.adversary = adversary::silent_factory();
-    const auto samples = collect_samples(spec, law, 4000, kSeed + 1);
+    const auto samples = exec::Runner().run_batch(spec, law, 4000, kSeed + 1).samples;
     stats::EmpiricalDist announced(4);
     for (const Sample& s : samples) announced.add(s.announced);
     const stats::TestResult fit = stats::chi2_goodness_of_fit(announced, *law.exact());
@@ -64,7 +64,7 @@ TEST(Distributional, CopyAttackAnnouncedLawIsTheCopyDistribution) {
   spec.corrupted = {3};
   spec.adversary = adversary::copy_last_factory(0);
   const auto ens = dist::make_uniform(4);
-  const auto samples = collect_samples(spec, *ens, 6000, kSeed + 2);
+  const auto samples = exec::Runner().run_batch(spec, *ens, 6000, kSeed + 2).samples;
   stats::EmpiricalDist announced(4);
   for (const Sample& s : samples) announced.add(s.announced);
   const dist::NoisyCopyEnsemble copy_law(4, 0.0);
@@ -83,7 +83,7 @@ TEST(Distributional, TesterVerdictsStableAcrossSeeds) {
   spec.adversary = adversary::parity_factory();
   const auto ens = dist::make_uniform(5);
   for (const std::uint64_t seed : {1ull, 777ull, 0xDEADBEEFull}) {
-    const auto samples = collect_samples(spec, *ens, 2500, seed);
+    const auto samples = exec::Runner().run_batch(spec, *ens, 2500, seed).samples;
     EXPECT_TRUE(test_g(samples, spec.corrupted).independent) << "seed " << seed;
     const CrVerdict cr = test_cr(samples, spec.corrupted);
     EXPECT_FALSE(cr.independent) << "seed " << seed;

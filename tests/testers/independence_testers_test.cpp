@@ -33,7 +33,7 @@ TEST(CrTester, GennaroUnderPassiveIsIndependent) {
   params.n = 4;
   const auto spec = make_spec(*proto, 4, {2}, adversary::passive_factory(*proto, params));
   const auto ens = dist::make_uniform(4);
-  const auto samples = collect_samples(spec, *ens, 1500, kSeed);
+  const auto samples = exec::Runner().run_batch(spec, *ens, 1500, kSeed).samples;
   EXPECT_DOUBLE_EQ(consistency_rate(samples), 1.0);
   const CrVerdict v = test_cr(samples, spec.corrupted);
   EXPECT_TRUE(v.independent) << v.max_gap << " at predicate " << v.worst.predicate;
@@ -44,7 +44,7 @@ TEST(CrTester, FlawedPiGUnderParityAdversaryIsViolated) {
   const auto proto = core::make_protocol("flawed-pi-g");
   const auto spec = make_spec(*proto, 5, {1, 3}, adversary::parity_factory());
   const auto ens = dist::make_uniform(5);
-  const auto samples = collect_samples(spec, *ens, 2000, kSeed);
+  const auto samples = exec::Runner().run_batch(spec, *ens, 2000, kSeed).samples;
   const CrVerdict v = test_cr(samples, spec.corrupted);
   EXPECT_FALSE(v.independent);
   EXPECT_NEAR(v.max_gap, 0.25, 0.05);
@@ -55,7 +55,7 @@ TEST(CrTester, SeqBroadcastUnderCopyIsViolated) {
   const auto proto = core::make_protocol("seq-broadcast");
   const auto spec = make_spec(*proto, 4, {3}, adversary::copy_last_factory(0));
   const auto ens = dist::make_uniform(4);
-  const auto samples = collect_samples(spec, *ens, 1500, kSeed);
+  const auto samples = exec::Runner().run_batch(spec, *ens, 1500, kSeed).samples;
   const CrVerdict v = test_cr(samples, spec.corrupted);
   EXPECT_FALSE(v.independent);
   EXPECT_GT(v.max_gap, 0.2);
@@ -67,7 +67,7 @@ TEST(CrTester, SingletonDistributionIsVacuouslyIndependent) {
   const auto proto = core::make_protocol("seq-broadcast");
   const auto spec = make_spec(*proto, 4, {3}, adversary::copy_last_factory(0));
   const dist::SingletonEnsemble ens(BitVec::from_string("1011"));
-  const auto samples = collect_samples(spec, ens, 800, kSeed);
+  const auto samples = exec::Runner().run_batch(spec, ens, 800, kSeed).samples;
   const CrVerdict v = test_cr(samples, spec.corrupted);
   EXPECT_TRUE(v.independent) << core::describe(v);
 }
@@ -87,7 +87,7 @@ TEST(GTester, FlawedPiGUnderParityAdversaryIsIndependent) {
   const auto proto = core::make_protocol("flawed-pi-g");
   const auto spec = make_spec(*proto, 5, {1, 3}, adversary::parity_factory());
   const auto ens = dist::make_uniform(5);
-  const auto samples = collect_samples(spec, *ens, 4000, kSeed);
+  const auto samples = exec::Runner().run_batch(spec, *ens, 4000, kSeed).samples;
   const GVerdict v = test_g(samples, spec.corrupted);
   EXPECT_TRUE(v.independent) << core::describe(v);
   EXPECT_GT(v.pairs_tested, 0u);
@@ -99,7 +99,7 @@ TEST(GTester, SelectiveAbortOnNaiveCommitRevealIsViolated) {
   auto spec = make_spec(*proto, 4, {3}, adversary::selective_abort_factory(0, scheme));
   spec.params.commitments = &scheme;
   const auto ens = dist::make_uniform(4);
-  const auto samples = collect_samples(spec, *ens, 3000, kSeed);
+  const auto samples = exec::Runner().run_batch(spec, *ens, 3000, kSeed).samples;
   const GVerdict v = test_g(samples, spec.corrupted);
   EXPECT_FALSE(v.independent) << core::describe(v);
   EXPECT_GT(v.worst.gap, 0.8);  // W_3 tracks the victim's bit exactly
@@ -111,7 +111,7 @@ TEST(GTester, GennaroUnderPassiveIsIndependent) {
   params.n = 4;
   const auto spec = make_spec(*proto, 4, {1}, adversary::passive_factory(*proto, params));
   const auto ens = dist::make_uniform(4);
-  const auto samples = collect_samples(spec, *ens, 3000, kSeed);
+  const auto samples = exec::Runner().run_batch(spec, *ens, 3000, kSeed).samples;
   const GVerdict v = test_g(samples, spec.corrupted);
   EXPECT_TRUE(v.independent) << core::describe(v);
 }
@@ -196,6 +196,28 @@ TEST(SbTester, FlawedPiGUnderParityAdversaryIsViolated) {
   options.samples = 800;
   const SbVerdict v = test_sb(spec, *ens, options, kSeed);
   EXPECT_FALSE(v.secure) << core::describe(v);
+}
+
+// Pins the verdict's numbers for one seed, at several pool widths.  The
+// values predate running the real and ideal worlds as two engine batches
+// (each repetition used to be its own one-execution batch): the per-
+// repetition execution seeds, and so every Sb verdict, are unchanged.
+TEST(SbTester, VerdictPinnedAcrossThreadCounts) {
+  const auto proto = core::make_protocol("flawed-pi-g");
+  const auto spec = make_spec(*proto, 5, {1, 3}, adversary::parity_factory());
+  const auto ens = dist::make_uniform(5);
+  SbOptions options;
+  options.samples = 300;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    exec::set_default_threads(threads);
+    const SbVerdict v = test_sb(spec, *ens, options, 0x5B);
+    EXPECT_DOUBLE_EQ(v.tv_joint, 0.57000000000000017) << threads;
+    EXPECT_DOUBLE_EQ(v.max_distinguisher_gap, 0.45333333333333337) << threads;
+    EXPECT_DOUBLE_EQ(v.radius, 0.23771651459803941) << threads;
+    EXPECT_EQ(v.worst.distinguisher, "parity(W)==0") << threads;
+    EXPECT_FALSE(v.secure) << threads;
+  }
+  exec::set_default_threads(0);
 }
 
 }  // namespace

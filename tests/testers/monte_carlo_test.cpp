@@ -24,7 +24,7 @@ TEST(MonteCarlo, CollectsRequestedSampleCount) {
   const auto proto = core::make_protocol("gennaro");
   const auto spec = gennaro_spec(*proto, 4, {}, adversary::silent_factory());
   const auto ens = dist::make_uniform(4);
-  const auto samples = collect_samples(spec, *ens, 25, 1);
+  const auto samples = exec::Runner().run_batch(spec, *ens, 25, 1).samples;
   EXPECT_EQ(samples.size(), 25u);
 }
 
@@ -32,7 +32,7 @@ TEST(MonteCarlo, HonestRunsAreConsistentAndCorrect) {
   const auto proto = core::make_protocol("gennaro");
   const auto spec = gennaro_spec(*proto, 4, {}, adversary::silent_factory());
   const auto ens = dist::make_uniform(4);
-  const auto samples = collect_samples(spec, *ens, 50, 2);
+  const auto samples = exec::Runner().run_batch(spec, *ens, 50, 2).samples;
   EXPECT_DOUBLE_EQ(consistency_rate(samples), 1.0);
   for (const Sample& s : samples) EXPECT_EQ(s.announced, s.inputs);
 }
@@ -41,8 +41,8 @@ TEST(MonteCarlo, DeterministicForSeed) {
   const auto proto = core::make_protocol("gennaro");
   const auto spec = gennaro_spec(*proto, 4, {}, adversary::silent_factory());
   const auto ens = dist::make_uniform(4);
-  const auto s1 = collect_samples(spec, *ens, 10, 42);
-  const auto s2 = collect_samples(spec, *ens, 10, 42);
+  const auto s1 = exec::Runner().run_batch(spec, *ens, 10, 42).samples;
+  const auto s2 = exec::Runner().run_batch(spec, *ens, 10, 42).samples;
   for (std::size_t i = 0; i < 10; ++i) {
     EXPECT_EQ(s1[i].inputs, s2[i].inputs);
     EXPECT_EQ(s1[i].announced, s2[i].announced);
@@ -53,7 +53,7 @@ TEST(MonteCarlo, InputsVaryAcrossRepetitions) {
   const auto proto = core::make_protocol("gennaro");
   const auto spec = gennaro_spec(*proto, 4, {}, adversary::silent_factory());
   const auto ens = dist::make_uniform(4);
-  const auto samples = collect_samples(spec, *ens, 40, 3);
+  const auto samples = exec::Runner().run_batch(spec, *ens, 40, 3).samples;
   std::set<std::uint64_t> distinct;
   for (const Sample& s : samples) distinct.insert(s.inputs.packed());
   EXPECT_GT(distinct.size(), 5u);
@@ -63,7 +63,7 @@ TEST(MonteCarlo, FixedInputVariantPinsInputs) {
   const auto proto = core::make_protocol("gennaro");
   const auto spec = gennaro_spec(*proto, 4, {}, adversary::silent_factory());
   const BitVec input = BitVec::from_string("1010");
-  const auto samples = collect_samples_fixed(spec, input, 20, 4);
+  const auto samples = exec::Runner().run_batch(spec, input, 20, 4).samples;
   for (const Sample& s : samples) {
     EXPECT_EQ(s.inputs, input);
     EXPECT_EQ(s.announced, input);
@@ -76,7 +76,7 @@ TEST(MonteCarlo, FixedInputProtocolRandomnessVaries) {
   // functionality's randomness.
   const auto proto = core::make_protocol("flawed-pi-g");
   const auto spec = gennaro_spec(*proto, 5, {1, 3}, adversary::parity_factory());
-  const auto samples = collect_samples_fixed(spec, BitVec::from_string("10101"), 100, 5);
+  const auto samples = exec::Runner().run_batch(spec, BitVec::from_string("10101"), 100, 5).samples;
   std::size_t ones = 0;
   for (const Sample& s : samples) ones += s.announced.get(1) ? std::size_t{1} : std::size_t{0};
   EXPECT_GT(ones, 25u);
@@ -92,10 +92,10 @@ TEST(MonteCarlo, Validation) {
   const auto proto = core::make_protocol("gennaro");
   RunSpec null_spec;
   const auto ens = dist::make_uniform(4);
-  EXPECT_THROW((void)collect_samples(null_spec, *ens, 1, 1), UsageError);
+  EXPECT_THROW((void)exec::Runner().run_batch(null_spec, *ens, 1, 1), UsageError);
   auto spec = gennaro_spec(*proto, 5, {}, adversary::silent_factory());
-  EXPECT_THROW((void)collect_samples(spec, *ens, 1, 1), UsageError);  // width 4 != n 5
-  EXPECT_THROW((void)collect_samples_fixed(spec, BitVec(4), 1, 1), UsageError);
+  EXPECT_THROW((void)exec::Runner().run_batch(spec, *ens, 1, 1), UsageError);  // width 4 != n 5
+  EXPECT_THROW((void)exec::Runner().run_batch(spec, BitVec(4), 1, 1), UsageError);
 }
 
 TEST(MonteCarlo, HonestIndices) {
