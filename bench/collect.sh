@@ -39,16 +39,6 @@
 # really ran: metadata.transport == "process" and a nonzero proc.spawned
 # counter in its metrics block.
 #
-# With --chaos, the remaining arguments are ONE driver command line (like
-# --process).  The command runs twice -- once clean on the in-process
-# backend, once with --transport=process --chaos=$CHAOS_SPEC (default a
-# recoverable loss/latency/corruption mix) -- and the two records must be
-# identical after canonicalization: recoverable wire chaos may cost wall
-# clock and retransmits, never results (DESIGN.md section 15).  The chaotic
-# record must additionally prove chaos really ran: metadata.chaos names the
-# spec, some net.chaos.* fault counter is nonzero, the channels recovered
-# (nonzero net.chaos.retransmits) and no budget died.
-#
 # With --status, each driver instead exercises the live-telemetry stream
 # (DESIGN.md section 13): run with --json plus a fast heartbeat
 # (--status=FILE --status-interval=$STATUS_INTERVAL, default 0.05s) and then
@@ -64,27 +54,24 @@ want_faults=0
 want_resume=0
 want_status=0
 want_process=0
-want_chaos=0
 while [ "${1:-}" = "--trace" ] || [ "${1:-}" = "--faults" ] || [ "${1:-}" = "--resume" ] ||
-      [ "${1:-}" = "--status" ] || [ "${1:-}" = "--process" ] || [ "${1:-}" = "--chaos" ]; do
+      [ "${1:-}" = "--status" ] || [ "${1:-}" = "--process" ]; do
   case $1 in
     --trace) want_trace=1 ;;
     --faults) want_faults=1 ;;
     --resume) want_resume=1 ;;
     --status) want_status=1 ;;
     --process) want_process=1 ;;
-    --chaos) want_chaos=1 ;;
   esac
   shift
 done
 drop_rate=${FAULT_DROP:-0.05}
 resume_stop=${RESUME_STOP:-3}
 status_interval=${STATUS_INTERVAL:-0.05}
-chaos_spec=${CHAOS_SPEC:-delay:uniform:0:1,loss:0.1,corrupt:0.001}
 
 if [ "$#" -lt 1 ]; then
   echo "usage: $0 [--trace] [--faults] [--resume] [--status] OUT_DIR [DRIVER...]" >&2
-  echo "       $0 --process|--chaos OUT_DIR DRIVER [DRIVER_ARGS...]" >&2
+  echo "       $0 --process OUT_DIR DRIVER [DRIVER_ARGS...]" >&2
   exit 2
 fi
 
@@ -161,10 +148,9 @@ if baseline != resumed:
 EOF
 }
 
-# Cross-run record equality (inproc vs process, clean vs chaotic): like
+# Cross-run record equality (inproc vs process): like
 # check_resumed_record, but the metadata block is stripped too — it names
-# the transport backend and chaos spec, the fields the two runs
-# legitimately disagree on.
+# the transport backend, the field the two runs legitimately disagree on.
 check_record_pair() {
   python3 - "$1" "$2" 2>&1 <<'EOF'
 import json, sys
@@ -197,26 +183,6 @@ assert rec["metadata"]["transport"] == "process", \
     f'metadata.transport is {rec["metadata"]["transport"]!r}, not "process"'
 spawned = rec["metrics"]["counters"].get("proc.spawned", 0)
 assert spawned > 0, "proc.spawned is zero: no worker process was ever spawned"
-PYEOF
-}
-
-# The chaotic record must prove wire chaos really ran and the resilience
-# machinery really recovered: metadata.chaos names the spec, at least one
-# frame-fate counter moved, the channels retransmitted, and no channel
-# spent its budget (recoverable chaos by construction).
-check_chaos_metrics() {
-  python3 - "$1" 2>&1 <<'PYEOF'
-import json, sys
-rec = json.load(open(sys.argv[1]))
-assert rec["metadata"]["chaos"], "metadata.chaos is empty: the spec never reached the record"
-counters = rec["metrics"]["counters"]
-fates = sum(counters.get("net.chaos." + k, 0)
-            for k in ("dropped", "duplicated", "reordered", "delayed", "corrupted"))
-assert fates > 0, "every net.chaos.* fate counter is zero: chaos never touched a frame"
-assert counters.get("net.chaos.retransmits", 0) > 0, \
-    "net.chaos.retransmits is zero: nothing was ever recovered"
-assert counters.get("net.chaos.budget_exhausted", 0) == 0, \
-    "a channel spent its retransmit budget under a recoverable spec"
 PYEOF
 }
 
@@ -291,54 +257,6 @@ if [ "$want_status" -eq 1 ]; then
   done
   count=${#drivers[@]}
   echo "collect.sh: $((count - failures))/$count drivers streamed honest heartbeats, records in $out_dir"
-  [ "$failures" -eq 0 ]
-  exit
-fi
-
-if [ "$want_chaos" -eq 1 ]; then
-  if ! command -v python3 >/dev/null 2>&1; then
-    echo "collect.sh: --chaos needs python3 for record comparison" >&2
-    exit 2
-  fi
-  if [ "${#drivers[@]}" -lt 1 ] || [ ! -x "${drivers[0]}" ]; then
-    echo "collect.sh: --chaos needs one driver command line after OUT_DIR" >&2
-    exit 2
-  fi
-  name=$(basename "${drivers[0]}")
-  failures=0
-  clean_dir=$out_dir/clean_$name
-  chaos_dir=$out_dir/chaos_$name
-  rm -rf "$clean_dir" "$chaos_dir"
-  mkdir -p "$clean_dir" "$chaos_dir"
-
-  if ! "${drivers[@]}" --json="$clean_dir"; then
-    echo "collect.sh: FAIL $name (clean run exited nonzero)" >&2
-    exit 1
-  fi
-  if ! "${drivers[@]}" --json="$chaos_dir" --transport=process --chaos="$chaos_spec"; then
-    echo "collect.sh: FAIL $name (--chaos=$chaos_spec run exited nonzero)" >&2
-    exit 1
-  fi
-  for clean in "$clean_dir"/BENCH_*.json; do
-    base=$(basename "$clean")
-    chaotic=$chaos_dir/$base
-    if [ ! -f "$chaotic" ]; then
-      echo "collect.sh: FAIL $name (chaotic run wrote no $base)" >&2
-      failures=$((failures + 1))
-      continue
-    fi
-    if ! check_record_pair "$clean" "$chaotic"; then
-      echo "collect.sh: FAIL $name ($base differs between clean and chaotic runs)" >&2
-      failures=$((failures + 1))
-    fi
-    if ! check_chaos_metrics "$chaotic"; then
-      echo "collect.sh: FAIL $name (chaotic record shows no recovered chaos)" >&2
-      failures=$((failures + 1))
-    fi
-  done
-  if [ "$failures" -eq 0 ]; then
-    echo "collect.sh: $name record-identical under --chaos=$chaos_spec, records in $out_dir"
-  fi
   [ "$failures" -eq 0 ]
   exit
 fi

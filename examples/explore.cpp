@@ -29,7 +29,11 @@
 //   explore flawed-pi-g parity uniform --corrupt=1,3
 //   explore seq-broadcast copy singleton:1011 --n=4 --corrupt=3
 //   explore gennaro passive product:0.3,0.7,0.5,0.8 --n=4 --corrupt=2
+#include <algorithm>
+#include <cerrno>
+#include <cstdlib>
 #include <iostream>
+#include <set>
 #include <sstream>
 
 #include "core/registry.h"
@@ -50,7 +54,7 @@ using namespace simulcast;
   if (!error.empty()) std::cerr << "error: " << error << "\n\n";
   std::cerr << "usage: explore <protocol> <adversary> <distribution> "
                "[--n=5] [--corrupt=i,j] [--samples=2000] [--seed=1] [--threads=1] "
-               "[--transport=inproc|process] [--net-timeout=S] [--chaos=SPEC] "
+               "[--transport=inproc|process] [--net-timeout=S] "
                "[--json=PATH] [--trace=PATH] "
                "[--drop=P] [--delay=R] [--crash=party@round,...] "
                "[--checkpoint=PATH] [--resume] [--rep-timeout=S] [--retries=N] "
@@ -59,12 +63,31 @@ using namespace simulcast;
   std::exit(2);
 }
 
+/// A decimal unsigned integer spanning all of `text`.  "5x", "-1", "" and
+/// values past 64 bits are usage errors (exit 2), never an uncaught
+/// std::stoul abort or a silent truncation.
+std::uint64_t parse_uint(const std::string& what, const std::string& text) {
+  const bool digits = !text.empty() && std::all_of(text.begin(), text.end(), [](char c) {
+    return c >= '0' && c <= '9';
+  });
+  errno = 0;
+  const unsigned long long value = digits ? std::strtoull(text.c_str(), nullptr, 10) : 0;
+  if (!digits || errno == ERANGE)
+    usage(what + " must be a non-negative integer, got '" + text + "'");
+  return value;
+}
+
+/// "--corrupt=1,3": comma-separated party ids; an empty list means no
+/// corruptions, an empty item ("1,,3", "1,") is malformed.
 std::vector<sim::PartyId> parse_ids(const std::string& csv) {
   std::vector<sim::PartyId> ids;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) ids.push_back(std::stoul(item));
-  return ids;
+  if (csv.empty()) return ids;
+  for (std::size_t start = 0;;) {
+    const std::size_t comma = csv.find(',', start);
+    ids.push_back(parse_uint("--corrupt party id", csv.substr(start, comma - start)));
+    if (comma == std::string::npos) return ids;
+    start = comma + 1;
+  }
 }
 
 std::vector<double> parse_probs(const std::string& csv) {
@@ -115,16 +138,25 @@ int main(int argc, char** argv) {
   std::vector<sim::PartyId> corrupted;
   std::size_t samples = 2000;
   std::uint64_t seed = 1;
+  // explore's own knobs are as strict as the shared ones: malformed values
+  // and repeats exit 2 with the usage line.
+  std::set<std::string> seen;
   for (int i = 4; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--n=", 0) == 0)
-      n = std::stoul(arg.substr(4));
-    else if (arg.rfind("--corrupt=", 0) == 0)
-      corrupted = parse_ids(arg.substr(10));
-    else if (arg.rfind("--samples=", 0) == 0)
-      samples = std::stoul(arg.substr(10));
-    else if (arg.rfind("--seed=", 0) == 0)
-      seed = std::stoull(arg.substr(7));
+    const std::size_t eq = arg.find('=');
+    const std::string knob = arg.substr(0, eq);
+    if (knob != "--n" && knob != "--corrupt" && knob != "--samples" && knob != "--seed")
+      continue;  // a shared knob, already applied by configure_threads
+    if (!seen.insert(knob).second) usage("duplicate argument '" + knob + "'");
+    const std::string value = arg.substr(eq + 1);
+    if (knob == "--n")
+      n = parse_uint(knob, value);
+    else if (knob == "--corrupt")
+      corrupted = parse_ids(value);
+    else if (knob == "--samples")
+      samples = parse_uint(knob, value);
+    else
+      seed = parse_uint(knob, value);
   }
   if (samples == 0) usage("--samples must be at least 1");
   if (exec::default_batch_options().resume && exec::default_batch_options().checkpoint_path.empty())

@@ -31,10 +31,9 @@ class ProtocolError : public Error {
 };
 
 /// A frame failed its integrity check (net/wire.h CRC32C trailer).  A
-/// subclass of ProtocolError so existing handlers keep treating it as
-/// malformed traffic; the resilient channels (net/chaos.h) additionally
-/// catch it by exact type to count the reject and await a retransmit
-/// instead of failing the execution.
+/// subclass of ProtocolError so every handler treats it as malformed
+/// traffic; the distinct type lets tests tell a checksum reject from a
+/// field-level parse error.
 class ChecksumError : public ProtocolError {
  public:
   using ProtocolError::ProtocolError;

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "base/error.h"
-#include "net/chaos.h"
 #include "net/transport.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -190,7 +189,6 @@ int finish_experiment(const obs::ExperimentRecord& record) {
   if (full.faults.empty()) full.faults = exec::default_fault_plan();
   if (full.transport.empty())
     full.transport = std::string(net::transport_kind_name(net::default_transport_kind()));
-  if (full.chaos.empty()) full.chaos = net::default_chaos_spec().summary();
   // Campaign correlation ids (schema v7): every batch that ran in this
   // process, in batch order — the join key between this record and its
   // trace/log/status artifacts.

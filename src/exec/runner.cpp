@@ -16,7 +16,6 @@
 #include "base/error.h"
 #include "broadcast/parallel_broadcast.h"
 #include "exec/checkpoint.h"
-#include "net/chaos.h"
 #include "net/transport.h"
 #include "net/worker.h"
 #include "obs/log.h"
@@ -390,36 +389,17 @@ BatchResult run_prepared(const RunSpec& spec, std::size_t threads, const BatchOp
       span.arg("exec", exec_id);
       span.arg("rep", rep);
       const auto start = std::chrono::steady_clock::now();
+      bool ok = true;
+      std::string reason;
       if (options.quarantine) {
-        Sample sample;
-        std::string reason;
-        if (attempt_repetition(spec, input_for(rep), seeds[rep], options, rep, retried_count,
-                               sample, reason)) {
-          out.samples[rep] = std::move(sample);
-          const auto elapsed = std::chrono::steady_clock::now() - start;
-          record_repetition_metrics(
-              out.samples[rep],
-              static_cast<std::uint64_t>(
-                  std::chrono::duration_cast<std::chrono::microseconds>(elapsed).count()));
-          span.arg("rounds", out.samples[rep].rounds);
-          status[rep].store(kDone, std::memory_order_release);
-          completed_count.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          {
-            const std::lock_guard<std::mutex> lock(quarantine_mutex);
-            quarantined.push_back({rep, seeds[rep], reason});
-          }
-          status[rep].store(kQuarantined, std::memory_order_release);
-          quarantined_count.fetch_add(1, std::memory_order_relaxed);
-          obs::Metrics::global().counter("exec.quarantined").add(1);
-          if (obs::log_enabled())
-            obs::log_event(obs::LogLevel::kWarn, "rep-quarantine",
-                           {{"rep", rep}, {"seed", seeds[rep]}}, reason);
-        }
+        ok = attempt_repetition(spec, input_for(rep), seeds[rep], options, rep, retried_count,
+                                out.samples[rep], reason);
       } else {
-        // Legacy contract: a throwing repetition aborts the batch through
+        // Without quarantine a throwing repetition aborts the batch through
         // parallel_for's first-by-worker-index rethrow.
         out.samples[rep] = run_one(spec, input_for(rep), seeds[rep]);
+      }
+      if (ok) {
         const auto elapsed = std::chrono::steady_clock::now() - start;
         record_repetition_metrics(
             out.samples[rep],
@@ -428,6 +408,17 @@ BatchResult run_prepared(const RunSpec& spec, std::size_t threads, const BatchOp
         span.arg("rounds", out.samples[rep].rounds);
         status[rep].store(kDone, std::memory_order_release);
         completed_count.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        {
+          const std::lock_guard<std::mutex> lock(quarantine_mutex);
+          quarantined.push_back({rep, seeds[rep], reason});
+        }
+        status[rep].store(kQuarantined, std::memory_order_release);
+        quarantined_count.fetch_add(1, std::memory_order_relaxed);
+        obs::Metrics::global().counter("exec.quarantined").add(1);
+        if (obs::log_enabled())
+          obs::log_event(obs::LogLevel::kWarn, "rep-quarantine",
+                         {{"rep", rep}, {"seed", seeds[rep]}}, reason);
       }
       last_exec_id.store(exec_id, std::memory_order_relaxed);
       obs::set_current_exec(0);
@@ -675,7 +666,7 @@ std::size_t configure_threads(int argc, char** argv,
     std::fprintf(stderr,
                  "error: %s\n"
                  "usage: %s [--threads=N] [--transport=inproc|process] "
-                 "[--net-timeout=S] [--chaos=SPEC] [--json=PATH] "
+                 "[--net-timeout=S] [--json=PATH] "
                  "[--trace=PATH] [--log=PATH] [--status=PATH] [--status-interval=S] "
                  "[--drop=P] [--delay=R] [--crash=party@round,...] "
                  "[--checkpoint=PATH] [--resume] [--rep-timeout=S] [--retries=N] "
@@ -715,8 +706,8 @@ std::size_t configure_threads(int argc, char** argv,
       }
     } else if (arg.rfind("--net-timeout=", 0) == 0) {
       check_duplicate(arg);
-      // Fractional seconds are first-class (--net-timeout=0.5): chaos
-      // suites want sub-second stall detection, and the process
+      // Fractional seconds are first-class (--net-timeout=0.5): negative
+      // handshake tests want sub-second stall detection, and the process
       // coordinator keeps the deadline in milliseconds anyway.
       char* end = nullptr;
       const double seconds = std::strtod(arg.c_str() + 14, &end);
@@ -729,17 +720,6 @@ std::size_t configure_threads(int argc, char** argv,
         std::exit(2);
       }
       net::set_default_net_timeout(std::chrono::milliseconds(static_cast<long>(ms)));
-    } else if (arg.rfind("--chaos=", 0) == 0) {
-      check_duplicate(arg);
-      // "" parses to the inert spec (that is how the default summary
-      // round-trips), but an explicitly empty knob is a CLI mistake.
-      if (arg.size() == 8) usage_exit("--chaos needs a spec (see net/chaos.h for the grammar)");
-      try {
-        net::set_default_chaos_spec(net::parse_chaos_spec(arg.substr(8)));
-      } catch (const UsageError& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        std::exit(2);
-      }
     } else if (arg.rfind("--json=", 0) == 0) {
       check_duplicate(arg);
       const std::string path = arg.substr(7);

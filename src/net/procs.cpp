@@ -159,7 +159,6 @@ void ProcSupervisor::spawn_into(std::size_t id, bool input, bool spectator) {
   hello.fault_digest = spec_.fault_digest;
   hello.protocol = spec_.protocol;
   hello.commitments = spec_.commitments;
-  hello.chaos = spec_.chaos.enabled() ? spec_.chaos.summary() : "";
 
   Bytes body;
   encode_worker_hello(hello, body);
@@ -209,14 +208,7 @@ void ProcSupervisor::spawn_into(std::size_t id, bool input, bool spectator) {
   if (ack.slot != id) throw fail("ack echoed slot " + std::to_string(ack.slot));
   if (ack.fault_digest != spec_.fault_digest) throw fail("ack echoed a different fault digest");
 
-  // Handshake complete: a chaos-targeted channel switches to resilient
-  // framing from the next frame on (the worker mirrors this right after
-  // writing its ack).
-  const std::string label = "coord:P" + std::to_string(id);
-  if (spec_.chaos.enabled() && spec_.chaos.applies_to(id))
-    w.channel->enable_chaos(spec_.chaos, spec_.seed, label);
-  else
-    w.channel->set_label(label);
+  w.channel->set_label("coord:P" + std::to_string(id));
 }
 
 WorkerChannel& ProcSupervisor::live_channel(std::size_t id) {
@@ -229,11 +221,8 @@ WorkerChannel& ProcSupervisor::live_channel(std::size_t id) {
 void ProcSupervisor::observe_death(std::size_t id, const char* how) {
   Worker& w = workers_[id];
   const pid_t pid = w.pid;
-  // A stalled or budget-dead worker is (probably) still alive; put it
-  // down before reaping.
-  const bool stalled =
-      std::strcmp(how, "stall") == 0 || std::strcmp(how, "chaos-budget") == 0;
-  reap(id, /*force_kill=*/stalled);
+  // A stalled worker is (probably) still alive; put it down before reaping.
+  reap(id, /*force_kill=*/std::strcmp(how, "stall") == 0);
   if (obs::log_enabled())
     obs::log_event(obs::LogLevel::kWarn, "worker-death",
                    {{"party", id}, {"pid", static_cast<std::uint64_t>(pid)}}, how);
@@ -272,10 +261,9 @@ std::vector<sim::Message> ProcSupervisor::begin(std::size_t id) {
   if (!channel.write_frame(ProcFrame::kBegin, {})) observe_death(id, "eof");
   ProcFrame type{};
   Bytes reply;
-  const auto status = channel.read_frame(type, reply, channel.stall_deadline());
+  const auto status = channel.read_frame(type, reply, default_net_timeout());
   if (status == WorkerChannel::Status::kEof) observe_death(id, "eof");
   if (status == WorkerChannel::Status::kTimeout) observe_death(id, "stall");
-  if (status == WorkerChannel::Status::kBudget) observe_death(id, "chaos-budget");
   return expect_outbox(id, type, reply);
 }
 
@@ -292,10 +280,9 @@ std::vector<sim::Message> ProcSupervisor::round(std::size_t id, std::size_t roun
   if (!channel.write_frame(ProcFrame::kRound, w.take())) observe_death(id, "eof");
   ProcFrame type{};
   Bytes reply;
-  const auto status = channel.read_frame(type, reply, channel.stall_deadline());
+  const auto status = channel.read_frame(type, reply, default_net_timeout());
   if (status == WorkerChannel::Status::kEof) observe_death(id, "eof");
   if (status == WorkerChannel::Status::kTimeout) observe_death(id, "stall");
-  if (status == WorkerChannel::Status::kBudget) observe_death(id, "chaos-budget");
   return expect_outbox(id, type, reply);
 }
 
@@ -310,10 +297,9 @@ std::optional<BitVec> ProcSupervisor::finish(std::size_t id, const sim::Inbox& i
   if (!channel.write_frame(ProcFrame::kFinish, w.take())) observe_death(id, "eof");
   ProcFrame type{};
   Bytes reply;
-  const auto status = channel.read_frame(type, reply, channel.stall_deadline());
+  const auto status = channel.read_frame(type, reply, default_net_timeout());
   if (status == WorkerChannel::Status::kEof) observe_death(id, "eof");
   if (status == WorkerChannel::Status::kTimeout) observe_death(id, "stall");
-  if (status == WorkerChannel::Status::kBudget) observe_death(id, "chaos-budget");
   if (type == ProcFrame::kFailed)
     throw ProtocolError("ProcSupervisor: P" + std::to_string(id) + " failed in place");
   if (type != ProcFrame::kOutput)
@@ -330,7 +316,6 @@ std::optional<BitVec> ProcSupervisor::finish(std::size_t id, const sim::Inbox& i
 void ProcSupervisor::reap(std::size_t id, bool force_kill) noexcept {
   Worker& w = workers_[id];
   if (w.pid < 0) return;
-  if (w.channel != nullptr && w.channel->reliable()) chaos_stats_ += w.channel->chaos_stats();
   if (force_kill) {
     if (::kill(w.pid, SIGKILL) == 0) proc_counters().killed.add(1);
   }
@@ -365,18 +350,9 @@ void ProcSupervisor::shutdown() noexcept {
   // Closing the channel is the shutdown signal: live workers read EOF and
   // exit, finished workers have exited already.
   for (Worker& w : workers_) {
-    if (w.channel != nullptr && w.channel->reliable()) chaos_stats_ += w.channel->chaos_stats();
     if (w.fd >= 0) ::close(w.fd);
     w.fd = -1;
     w.channel.reset();
-  }
-  if (chaos_stats_.any()) {
-    try {
-      record_chaos_metrics(chaos_stats_);
-    } catch (...) {
-      // Metrics are best-effort inside a noexcept teardown.
-    }
-    chaos_stats_ = ChaosStats{};
   }
   const auto give_up = std::chrono::steady_clock::now() + default_net_timeout();
   for (std::size_t id = 0; id < workers_.size(); ++id) {

@@ -40,7 +40,6 @@
 
 #include "base/bitvec.h"
 #include "base/error.h"
-#include "net/chaos.h"
 #include "net/worker.h"
 #include "sim/message.h"
 
@@ -111,11 +110,6 @@ class ProcSupervisor {
     std::size_t rounds = 0;
     std::uint64_t fault_digest = 0;
     ProcessOptions options;
-    /// Wire-chaos conditions (net/chaos.h).  Channels of targeted parties
-    /// switch to resilient framing after the handshake; a channel whose
-    /// retransmit budget runs out surfaces as WorkerLost, bit-for-bit the
-    /// crash a FaultPlan entry at that round would have produced.
-    ChaosSpec chaos;
   };
 
   explicit ProcSupervisor(Spec spec);
@@ -170,10 +164,6 @@ class ProcSupervisor {
   Spec spec_;
   std::vector<Worker> workers_;
   bool shutting_down_ = false;
-  /// Coordinator-side chaos accounting, folded into net.chaos.* at
-  /// shutdown.  Worker-side counters die with the worker process —
-  /// documented asymmetry of the process backend.
-  ChaosStats chaos_stats_;
 };
 
 }  // namespace simulcast::net

@@ -53,10 +53,8 @@ void set_default_transport_kind(TransportKind kind) noexcept;
 /// (ProtocolError) after this long without progress.  Defaults to 30
 /// seconds; the --net-timeout=S knob (exec::configure_threads, fractional
 /// seconds accepted) shortens it so tests fail in seconds, not minutes.
-/// Chaos-resilient channels treat this as a ceiling and derive tighter
-/// adaptive deadlines from observed round-trip times (net/worker.h
-/// stall_deadline()).  Relaxed atomic, same write-from-main contract as
-/// the transport-kind default.
+/// Both ends of every worker channel wait this long, flat.  Relaxed
+/// atomic, same write-from-main contract as the transport-kind default.
 [[nodiscard]] std::chrono::milliseconds default_net_timeout() noexcept;
 void set_default_net_timeout(std::chrono::milliseconds timeout) noexcept;
 

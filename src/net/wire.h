@@ -17,11 +17,10 @@
 // and frame_len must equal the exact size of the fields it covers —
 // a frame with slack or overrun bytes is rejected, so garbage cannot hide
 // inside a "valid" length prefix.  The CRC32C trailer (version 2) is
-// verified *before* any field is interpreted, so a bit-flipped frame —
-// the chaos layer's corruption model (net/chaos.h) — always surfaces as
-// ChecksumError, never as a field-level parse of garbage; resilient
-// channels catch exactly that type, count the reject and wait for a
-// retransmit.  Commitment and opening payloads need no
+// verified *before* any field is interpreted, so a bit-flipped frame
+// always surfaces as ChecksumError, never as a field-level parse of
+// garbage: bytes that arrive from another process are validated, not
+// trusted.  Commitment and opening payloads need no
 // special casing: protocols already canonicalize them into Message::payload
 // through base/bytes.h's length-prefixed ByteWriter, so the frame treats
 // every payload as opaque bytes.

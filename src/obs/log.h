@@ -1,6 +1,6 @@
 // Structured event log (obs::Log): leveled, ring-buffered JSONL events for
 // the load-bearing moments of a campaign — retries, quarantines, watchdog
-// fires, checkpoint flushes, worker deaths and retransmits, injected faults.
+// fires, checkpoint flushes, worker deaths, injected faults.
 //
 // The log is the narrative twin of the trace: traces answer "where did the
 // time go", the log answers "what happened".  Events are recorded into

@@ -190,7 +190,6 @@ void append(Json& json, const ExperimentRecord& r) {
       .member("seed", r.seed)
       .member("threads", std::uint64_t{r.perf.report.threads})
       .member("transport", r.transport)
-      .member("chaos", r.chaos)
       .member("compiler", kCompiler)
       .member("build", kBuildMode);
   json.key("campaigns").array_begin();

@@ -47,11 +47,10 @@ namespace simulcast::obs {
 /// "campaigns": the correlation ids (checkpoint identity digests, 16-hex)
 /// of every batch that fed the record, in batch order, joining the record
 /// to its trace spans, log events and status heartbeats.
-/// v8: wire chaos — metadata gained "chaos", the canonical net/chaos.h
-/// spec summary the record was measured under ("" for clean runs).
-/// Recoverable chaos leaves verdicts bit-identical, so the field states
-/// conditions without entering any checkpoint identity.
-inline constexpr std::uint64_t kSchemaVersion = 8;
+/// v8: metadata gained the wire fault-injection spec the record was
+/// measured under ("" for clean runs).
+/// v9: that field is gone, with the injector it described.
+inline constexpr std::uint64_t kSchemaVersion = 9;
 
 /// Fixed-precision decimal formatting shared by tables and detail strings
 /// (core::fmt delegates here so text and records agree digit for digit).
@@ -119,10 +118,6 @@ struct ExperimentRecord {
   /// "inproc" | "process").  Left empty by drivers: core::finish_experiment
   /// fills it from net::default_transport_kind().
   std::string transport;
-  /// Wire-chaos spec the record was measured under (schema v8, canonical
-  /// net/chaos.h summary; "" = clean wire).  Left empty by drivers:
-  /// core::finish_experiment fills it from net::default_chaos_spec().
-  std::string chaos;
   /// Campaign correlation ids (schema v7): the 16-hex identity digest of
   /// every batch that fed this record, in batch order.  Left empty by
   /// drivers: core::finish_experiment fills it from obs::campaigns_seen().

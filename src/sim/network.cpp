@@ -7,7 +7,6 @@
 
 #include "base/error.h"
 #include "crypto/commitment.h"
-#include "net/chaos.h"
 #include "net/transport.h"
 #include "net/wire.h"
 #include "net/worker.h"
@@ -199,36 +198,18 @@ int process_worker_loop(net::WorkerChannel& channel, const net::WorkerHello& hel
     }
   }
 
-  // The chaos spec travels in the hello as its canonical summary; a spec
-  // the worker cannot parse is a handshake rejection (exit before the
-  // ack), exactly like an unknown protocol name.
-  std::optional<net::ChaosSpec> chaos;
-  if (!hello.chaos.empty()) {
-    try {
-      chaos = net::parse_chaos_spec(hello.chaos);
-    } catch (const Error&) {
-      return 3;
-    }
-  }
-
   Bytes ack_body;
   net::encode_worker_ack({hello.slot, hello.fault_digest}, ack_body);
   if (!channel.write_frame(net::ProcFrame::kAck, ack_body)) return 0;
 
-  // The handshake rides plain framing on both sides; resilient framing
-  // switches on right after the ack, mirroring the coordinator.
-  const std::string label = "worker:P" + std::to_string(hello.slot);
-  if (chaos.has_value() && chaos->enabled() && chaos->applies_to(hello.slot))
-    channel.enable_chaos(*chaos, hello.seed, label);
-  else
-    channel.set_label(label);
+  channel.set_label("worker:P" + std::to_string(hello.slot));
 
   if (hello.spectator) {
     // A respawned standby holds the channel and discards everything until
     // the coordinator closes it.
     net::ProcFrame type{};
     Bytes body;
-    while (channel.read_frame(type, body, channel.stall_deadline()) == Status::kOk) {
+    while (channel.read_frame(type, body, net::default_net_timeout()) == Status::kOk) {
     }
     return 0;
   }
@@ -239,11 +220,6 @@ int process_worker_loop(net::WorkerChannel& channel, const net::WorkerHello& hel
   const auto fail_in_place = [&]() {
     (void)ctx.take_outbox();
     (void)channel.write_frame(net::ProcFrame::kFailed, {});
-    // Terminal reply: pump acks/retransmits until the coordinator has it
-    // (or the wire proves hopeless) — exiting earlier would strand the
-    // kFailed frame in the unacked queue and turn a clean fail-in-place
-    // into a spurious worker death.
-    (void)channel.drain(channel.stall_deadline());
     return 0;
   };
 
@@ -251,10 +227,9 @@ int process_worker_loop(net::WorkerChannel& channel, const net::WorkerHello& hel
   for (;;) {
     net::ProcFrame type{};
     Bytes body;
-    const Status status = channel.read_frame(type, body, channel.stall_deadline());
+    const Status status = channel.read_frame(type, body, net::default_net_timeout());
     if (status == Status::kEof) return 0;      // coordinator shut us down
     if (status == Status::kTimeout) return 5;  // coordinator vanished
-    if (status == Status::kBudget) return 5;   // wire too hostile; die quietly
     switch (type) {
       case net::ProcFrame::kBegin: {
         try {
@@ -301,7 +276,6 @@ int process_worker_loop(net::WorkerChannel& channel, const net::WorkerHello& hel
           w.u64(0);
         }
         (void)channel.write_frame(net::ProcFrame::kOutput, w.take());
-        (void)channel.drain(channel.stall_deadline());  // terminal reply, see fail_in_place
         return 0;
       }
       default:
@@ -416,7 +390,6 @@ ExecutionResult run_execution(const ParallelBroadcastProtocol& protocol,
     spec.rounds = total_rounds;
     spec.fault_digest = net::fault_plan_digest(plan.summary());
     spec.options = config.process;
-    spec.chaos = config.chaos;
     crew = std::make_unique<net::ProcSupervisor>(std::move(spec));
   }
 

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "base/bitvec.h"
-#include "net/chaos.h"
 #include "net/procs.h"
 #include "net/transport.h"
 #include "sim/adversary.h"
@@ -64,11 +63,6 @@ struct ExecutionConfig {
   /// handshake tweaks for the equivalence and negative test suites.
   /// Ignored unless transport is TransportKind::kProcess.
   net::ProcessOptions process;
-  /// Wire-chaos conditions (net/chaos.h, the --chaos= knob).  Recoverable
-  /// chaos leaves samples and verdicts bit-identical to a clean run, so —
-  /// like the transport backend — the spec is not part of a campaign's
-  /// identity.  Ignored by the in-process backend (no wire to disturb).
-  net::ChaosSpec chaos = net::default_chaos_spec();
 };
 
 struct TrafficStats {

@@ -50,12 +50,15 @@ check "negative net timeout"   --net-timeout=-1
 check "sub-ms net timeout"     --net-timeout=0.0001
 check "trailing-junk timeout"  --net-timeout=5s
 check "repeated net timeout"   --net-timeout=5 --net-timeout=5
-check "empty chaos spec"       --chaos=
-check "unknown chaos key"      --chaos=turbulence:0.5
-check "chaos loss over 1"      --chaos=loss:1.5
-check "chaos bad delay kind"   --chaos=delay:gauss:1
-check "chaos without a wire condition" --chaos=budget:3
-check "repeated chaos"         --chaos=loss:0.1 --chaos=loss:0.1
+check "removed chaos knob"     --chaos=loss:0.1
+# explore's own knobs: a bench driver rejects them as unknown arguments,
+# explore must reject the malformed values and repeats just as loudly.
+check "malformed party count"  --n=abc
+check "trailing-junk party count" --n=5x
+check "repeated party count"   --n=4 --n=5
+check "empty corrupt id"       --corrupt=1,,3
+check "malformed seed"         --seed=zz
+check "negative sample count"  --samples=-1
 
 # Fractional --net-timeout must be *accepted* (the knob takes seconds, and
 # sub-second deadlines are what keep negative network tests fast).  explore

@@ -505,6 +505,109 @@ TEST(ConfigureThreadsDeathTest, ResumeRequiresCheckpoint) {
   EXPECT_EXIT(run({"--resume"}), testing::ExitedWithCode(2), "--resume requires --checkpoint");
 }
 
+// Every malformed or unknown argument exits 2 with a message naming it,
+// never a silent default or an uncaught-exception abort.
+struct RejectedArgument {
+  const char* name;
+  const char* arg;
+  const char* message;
+};
+
+class ConfigureThreadsRejectsDeathTest : public testing::TestWithParam<RejectedArgument> {};
+
+TEST_P(ConfigureThreadsRejectsDeathTest, ExitsTwoNamingTheProblem) {
+  const RejectedArgument& row = GetParam();
+  const auto run = [&row] {
+    std::vector<const char*> args = {"driver", row.arg};
+    (void)configure_threads(static_cast<int>(args.size()), const_cast<char**>(args.data()));
+  };
+  EXPECT_EXIT(run(), testing::ExitedWithCode(2), row.message);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Knobs, ConfigureThreadsRejectsDeathTest,
+    testing::Values(
+        RejectedArgument{"misspelled_knob", "--thread=4", "unrecognized argument '--thread=4'"},
+        RejectedArgument{"positional", "extra", "unrecognized argument 'extra'"},
+        RejectedArgument{"threads_zero", "--threads=0", "--threads must be a positive integer"},
+        RejectedArgument{"threads_trailing_garbage", "--threads=4x",
+                         "--threads must be a positive integer"},
+        RejectedArgument{"net_timeout_below_a_millisecond", "--net-timeout=0.0001",
+                         "--net-timeout must be a positive number"},
+        RejectedArgument{"net_timeout_not_a_number", "--net-timeout=soon",
+                         "--net-timeout must be a positive number"},
+        RejectedArgument{"unknown_transport", "--transport=tcp", "unknown transport 'tcp'"},
+        RejectedArgument{"removed_socket_transport", "--transport=socket",
+                         "transport 'socket' was removed"},
+        RejectedArgument{"empty_json_path", "--json=", "--json needs a file or directory path"},
+        RejectedArgument{"status_interval_zero", "--status-interval=0",
+                         "--status-interval must be a positive number"},
+        RejectedArgument{"drop_above_one", "--drop=1.5", "--drop must be a probability"},
+        RejectedArgument{"delay_negative", "--delay=-1", "--delay must be a round count"},
+        RejectedArgument{"crash_without_round", "--crash=3", "expected party@round"},
+        RejectedArgument{"empty_checkpoint_path", "--checkpoint=",
+                         "--checkpoint needs a file or directory path"},
+        RejectedArgument{"rep_timeout_zero", "--rep-timeout=0",
+                         "--rep-timeout must be a positive number"},
+        RejectedArgument{"retries_negative", "--retries=-1", "--retries must be an integer"},
+        RejectedArgument{"stop_after_zero", "--stop-after=0",
+                         "--stop-after must be a positive repetition count"}),
+    [](const testing::TestParamInfo<RejectedArgument>& param_info) {
+      return param_info.param.name;
+    });
+
+// One repetition path: with quarantine on, a repetition that succeeds runs
+// through the same success tail as a quarantine-off repetition, so the
+// samples, the batch report and the per-execution counters agree exactly
+// for every registered protocol.
+class QuarantineParityTest : public testing::TestWithParam<std::string> {};
+
+TEST_P(QuarantineParityTest, SuccessfulRepetitionsMatchTheThrowingPath) {
+  const auto proto = core::make_protocol(GetParam());
+  const RunSpec spec = spec_for(*proto, 4);
+  const auto ens = dist::make_uniform(4);
+  // seq-broadcast-ds signs everything; a handful of executions suffices.
+  const std::size_t count = GetParam() == "seq-broadcast-ds" ? 3 : 8;
+  const obs::Counter& executions = obs::Metrics::global().counter("exec.executions");
+  const obs::Counter& inconsistent = obs::Metrics::global().counter("exec.inconsistent");
+
+  const std::uint64_t executions_before = executions.value();
+  const std::uint64_t inconsistent_before = inconsistent.value();
+  const BatchResult plain = Runner(2).run_batch(spec, *ens, count, 5);
+  const std::uint64_t plain_executions = executions.value() - executions_before;
+  const std::uint64_t plain_inconsistent = inconsistent.value() - inconsistent_before;
+
+  BatchOptions options;
+  options.quarantine = true;
+  Runner guarded_runner(2);
+  guarded_runner.set_options(options);
+  const BatchResult guarded = guarded_runner.run_batch(spec, *ens, count, 5);
+
+  ASSERT_EQ(plain.samples.size(), guarded.samples.size());
+  for (std::size_t i = 0; i < plain.samples.size(); ++i)
+    EXPECT_TRUE(same_sample(plain.samples[i], guarded.samples[i])) << "rep " << i;
+  EXPECT_EQ(plain_executions, count);
+  EXPECT_EQ(executions.value() - executions_before - plain_executions, count);
+  EXPECT_EQ(inconsistent.value() - inconsistent_before - plain_inconsistent, plain_inconsistent);
+  EXPECT_EQ(guarded.report.executions, plain.report.executions);
+  EXPECT_EQ(guarded.report.completed, count);
+  EXPECT_EQ(plain.report.completed, count);
+  EXPECT_EQ(guarded.report.total_rounds, plain.report.total_rounds);
+  EXPECT_EQ(guarded.report.traffic.messages, plain.report.traffic.messages);
+  EXPECT_EQ(guarded.report.traffic.wire_bytes, plain.report.traffic.wire_bytes);
+  EXPECT_TRUE(guarded.report.quarantine.empty());
+  EXPECT_FALSE(guarded.report.partial);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllProtocols, QuarantineParityTest,
+                         testing::ValuesIn(core::protocol_names()),
+                         [](const testing::TestParamInfo<std::string>& param_info) {
+                           std::string s = param_info.param;
+                           for (char& c : s)
+                             if (c == '-') c = '_';
+                           return s;
+                         });
+
 // parallel_for's documented error contract: when several workers throw, the
 // FIRST CAPTURED EXCEPTION BY WORKER INDEX is rethrown.  A barrier inside
 // the body makes every worker throw on the same round (each of the 4

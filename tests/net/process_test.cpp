@@ -14,11 +14,16 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
+#include <optional>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "base/error.h"
@@ -473,6 +478,226 @@ TEST(ProcessTransport, UnknownProtocolIsRejectedAtTheHandshake) {
   BitVec inputs(3);
   EXPECT_THROW((void)sim::run_execution(proto, params, inputs, *adv, config), ProtocolError);
   expect_no_zombies();
+}
+
+// -------------------------------------------------- channel framing ----
+
+/// A connected socketpair wrapped in two WorkerChannels.
+struct ChannelPair {
+  ChannelPair() {
+    int fds[2] = {-1, -1};
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) ADD_FAILURE() << "socketpair failed";
+    a.emplace(fds[0]);
+    b.emplace(fds[1]);
+    fd_a = fds[0];
+    fd_b = fds[1];
+  }
+  ~ChannelPair() {
+    ::close(fd_a);
+    close_b();
+  }
+  /// Ends a's outgoing stream, so b's raw reads stop at what a wrote.
+  void close_a_writes() { ::shutdown(fd_a, SHUT_WR); }
+  /// Closes b's end: a's reads then see EOF and its writes see EPIPE.
+  void close_b() {
+    if (fd_b >= 0) ::close(fd_b);
+    fd_b = -1;
+  }
+  std::optional<WorkerChannel> a, b;
+  int fd_a = -1, fd_b = -1;
+};
+
+/// The raw bytes of one control frame: u32 little-endian (1 + body size),
+/// the type byte, the body.
+Bytes raw_frame(ProcFrame type, const Bytes& body) {
+  const auto len = static_cast<std::uint32_t>(body.size() + 1);
+  Bytes out = {static_cast<std::uint8_t>(len & 0xFF), static_cast<std::uint8_t>((len >> 8) & 0xFF),
+               static_cast<std::uint8_t>((len >> 16) & 0xFF),
+               static_cast<std::uint8_t>((len >> 24) & 0xFF), static_cast<std::uint8_t>(type)};
+  out.insert(out.end(), body.begin(), body.end());
+  return out;
+}
+
+void write_raw(int fd, const std::uint8_t* data, std::size_t size) {
+  ASSERT_EQ(::write(fd, data, size), static_cast<ssize_t>(size));
+}
+
+TEST(WorkerChannel, FramesRoundTripInOrderInBothDirections) {
+  ChannelPair pair;
+  Bytes every_byte(256);
+  for (std::size_t i = 0; i < every_byte.size(); ++i) every_byte[i] = static_cast<std::uint8_t>(i);
+  const std::vector<std::pair<ProcFrame, Bytes>> frames = {
+      {ProcFrame::kHello, Bytes{1, 2, 3}},
+      {ProcFrame::kBegin, Bytes{}},
+      {ProcFrame::kRound, every_byte},
+      {ProcFrame::kFinish, Bytes(5000, 0xA5)},
+  };
+  for (const auto& [type, body] : frames) ASSERT_TRUE(pair.a->write_frame(type, body));
+  for (const auto& [type, body] : frames) {
+    ProcFrame got_type{};
+    Bytes got;
+    ASSERT_EQ(pair.b->read_frame(got_type, got, std::chrono::seconds(5)),
+              WorkerChannel::Status::kOk);
+    EXPECT_EQ(got_type, type);
+    EXPECT_EQ(got, body);
+  }
+  // The reply direction uses the same framing.
+  ASSERT_TRUE(pair.b->write_frame(ProcFrame::kOut, Bytes{9, 8}));
+  ProcFrame got_type{};
+  Bytes got;
+  ASSERT_EQ(pair.a->read_frame(got_type, got, std::chrono::seconds(5)),
+            WorkerChannel::Status::kOk);
+  EXPECT_EQ(got_type, ProcFrame::kOut);
+  EXPECT_EQ(got, (Bytes{9, 8}));
+}
+
+TEST(WorkerChannel, WireBytesAreLengthTypeBody) {
+  ChannelPair pair;
+  const Bytes body = {0xDE, 0xAD, 0xBE, 0xEF};
+  ASSERT_TRUE(pair.a->write_frame(ProcFrame::kOutput, body));
+  pair.close_a_writes();
+  Bytes got;
+  std::uint8_t chunk[64];
+  for (ssize_t n; (n = ::read(pair.fd_b, chunk, sizeof chunk)) > 0;)
+    got.insert(got.end(), chunk, chunk + n);
+  EXPECT_EQ(got, raw_frame(ProcFrame::kOutput, body));
+}
+
+TEST(WorkerChannel, BackToBackFramesInOneSegmentAreReturnedOneAtATime) {
+  ChannelPair pair;
+  Bytes stream = raw_frame(ProcFrame::kAck, Bytes{1});
+  const Bytes second = raw_frame(ProcFrame::kFailed, Bytes{2, 2});
+  stream.insert(stream.end(), second.begin(), second.end());
+  write_raw(pair.fd_b, stream.data(), stream.size());
+  ProcFrame type{};
+  Bytes body;
+  ASSERT_EQ(pair.a->read_frame(type, body, std::chrono::seconds(5)), WorkerChannel::Status::kOk);
+  EXPECT_EQ(type, ProcFrame::kAck);
+  EXPECT_EQ(body, Bytes{1});
+  ASSERT_EQ(pair.a->read_frame(type, body, std::chrono::seconds(5)), WorkerChannel::Status::kOk);
+  EXPECT_EQ(type, ProcFrame::kFailed);
+  EXPECT_EQ(body, (Bytes{2, 2}));
+  // Nothing is left over: the next read waits and times out.
+  EXPECT_EQ(pair.a->read_frame(type, body, std::chrono::milliseconds(20)),
+            WorkerChannel::Status::kTimeout);
+}
+
+TEST(WorkerChannel, PartialFrameTimesOutThenCompletesAcrossReads) {
+  ChannelPair pair;
+  const Bytes frame = raw_frame(ProcFrame::kRound, Bytes{7, 7, 7, 7, 7, 7});
+  ProcFrame type{};
+  Bytes body;
+  // Cut inside the length prefix, then inside the body: each read keeps the
+  // bytes it has and times out until the frame is whole.
+  write_raw(pair.fd_b, frame.data(), 3);
+  ASSERT_EQ(pair.a->read_frame(type, body, std::chrono::milliseconds(20)),
+            WorkerChannel::Status::kTimeout);
+  write_raw(pair.fd_b, frame.data() + 3, 5);
+  ASSERT_EQ(pair.a->read_frame(type, body, std::chrono::milliseconds(20)),
+            WorkerChannel::Status::kTimeout);
+  write_raw(pair.fd_b, frame.data() + 8, frame.size() - 8);
+  ASSERT_EQ(pair.a->read_frame(type, body, std::chrono::seconds(5)), WorkerChannel::Status::kOk);
+  EXPECT_EQ(type, ProcFrame::kRound);
+  EXPECT_EQ(body, (Bytes{7, 7, 7, 7, 7, 7}));
+}
+
+TEST(WorkerChannel, SilentPeerTimesOutAfterTheDeadline) {
+  ChannelPair pair;
+  ProcFrame type{};
+  Bytes body;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(pair.a->read_frame(type, body, std::chrono::milliseconds(30)),
+            WorkerChannel::Status::kTimeout);
+  EXPECT_GE(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(30));
+}
+
+TEST(WorkerChannel, PeerCloseIsEofBetweenAndInsideFrames) {
+  {
+    ChannelPair pair;
+    pair.close_b();
+    ProcFrame type{};
+    Bytes body;
+    EXPECT_EQ(pair.a->read_frame(type, body, std::chrono::seconds(5)),
+              WorkerChannel::Status::kEof);
+  }
+  {
+    ChannelPair pair;
+    const Bytes frame = raw_frame(ProcFrame::kOut, Bytes{1, 2, 3, 4});
+    write_raw(pair.fd_b, frame.data(), frame.size() - 2);  // a truncated frame
+    pair.close_b();
+    ProcFrame type{};
+    Bytes body;
+    EXPECT_EQ(pair.a->read_frame(type, body, std::chrono::seconds(5)),
+              WorkerChannel::Status::kEof);
+  }
+}
+
+TEST(WorkerChannel, WriteToAClosedPeerReturnsFalse) {
+  ChannelPair pair;
+  pair.close_b();
+  // MSG_NOSIGNAL: a dead worker is a crash to account, not a SIGPIPE.
+  EXPECT_FALSE(pair.a->write_frame(ProcFrame::kRound, Bytes{1, 2, 3}));
+}
+
+TEST(WorkerChannel, ZeroLengthPrefixIsAProtocolError) {
+  ChannelPair pair;
+  pair.a->set_label("coord:P2");
+  const std::uint8_t raw[5] = {0, 0, 0, 0, static_cast<std::uint8_t>(ProcFrame::kBegin)};
+  write_raw(pair.fd_b, raw, sizeof raw);
+  ProcFrame type{};
+  Bytes body;
+  try {
+    (void)pair.a->read_frame(type, body, std::chrono::seconds(5));
+    FAIL() << "a frame without a type byte was accepted";
+  } catch (const ProtocolError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("coord:P2"), std::string::npos) << what;
+    EXPECT_NE(what.find("body length 0"), std::string::npos) << what;
+  }
+}
+
+TEST(WorkerChannel, FrameLargerThanTheSocketBufferNeedsAConcurrentReader) {
+  ChannelPair pair;
+  Bytes big(std::size_t{1} << 20);
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  bool written = false;
+  std::thread writer([&] { written = pair.a->write_frame(ProcFrame::kRound, big); });
+  ProcFrame type{};
+  Bytes body;
+  const WorkerChannel::Status status = pair.b->read_frame(type, body, std::chrono::seconds(30));
+  writer.join();
+  EXPECT_TRUE(written);
+  ASSERT_EQ(status, WorkerChannel::Status::kOk);
+  EXPECT_EQ(type, ProcFrame::kRound);
+  EXPECT_EQ(body, big);
+}
+
+TEST(WorkerChannelErrors, FrameCapViolationNamesTypeLengthAndChannel) {
+  ChannelPair pair;
+  pair.a->set_label("coord:P7");
+  // A plain frame whose length prefix claims 2^26 + 1 bytes with a kRound
+  // type byte: the error must name the channel, the claimed type and the
+  // declared length, so the failure is actionable.
+  const std::uint32_t huge = (1u << 26) + 1;
+  const std::uint8_t raw[5] = {
+      static_cast<std::uint8_t>(huge & 0xFF),
+      static_cast<std::uint8_t>((huge >> 8) & 0xFF),
+      static_cast<std::uint8_t>((huge >> 16) & 0xFF),
+      static_cast<std::uint8_t>((huge >> 24) & 0xFF),
+      static_cast<std::uint8_t>(ProcFrame::kRound),
+  };
+  ASSERT_EQ(::write(pair.fd_b, raw, sizeof(raw)), static_cast<ssize_t>(sizeof(raw)));
+  ProcFrame type{};
+  Bytes body;
+  try {
+    (void)pair.a->read_frame(type, body, std::chrono::seconds(5));
+    FAIL() << "oversized frame was accepted";
+  } catch (const ProtocolError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("coord:P7"), std::string::npos) << what;
+    EXPECT_NE(what.find("round"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(huge)), std::string::npos) << what;
+  }
 }
 
 }  // namespace

@@ -177,13 +177,13 @@ TEST(Wire, RejectsTrailingGarbageAfterSingleFrame) {
   EXPECT_THROW((void)decode_message(frame), ProtocolError);
 }
 
-/// Chaos-layer contract (net/chaos.h): a single bit flip anywhere in a
-/// frame — length prefix, version, every header field, tag, payload, the
-/// CRC trailer itself — must surface as ProtocolError, and a flip anywhere
+/// Integrity contract (wire v2): a single bit flip anywhere in a frame —
+/// length prefix, version, every header field, tag, payload, the CRC
+/// trailer itself — must surface as ProtocolError, and a flip anywhere
 /// past the length prefix must be the CRC speaking (ChecksumError, checked
-/// before any field parse) so resilient channels can catch exactly that
-/// type and wait for a retransmit.  Exhaustive over every bit of each
-/// swept frame; failures print a reproducer (seed, message index, bit).
+/// before any field parse), so bytes from another process are never
+/// parsed as garbage fields.  Exhaustive over every bit of each swept
+/// frame; failures print a reproducer (seed, message index, bit).
 TEST(Wire, EverySingleBitFlipThrowsProtocolError) {
   constexpr std::size_t kMessages = 12;
   for (std::size_t index = 0; index < kMessages; ++index) {

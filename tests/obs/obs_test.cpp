@@ -104,7 +104,7 @@ TEST(Json, BuilderRejectsMalformedDocuments) {
 ExperimentRecord golden_record() {
   ExperimentRecord rec;
   rec.id = "E0/golden";
-  rec.paper_claim = "schema fixture: field layout of record schema v8";
+  rec.paper_claim = "schema fixture: field layout of record schema v9";
   rec.setup = "hand-built record with \"quotes\", back\\slash and tab\there";
   rec.reproduced = true;
   rec.detail = "2 cells, 1 statistic + 1 check";
