@@ -31,6 +31,7 @@
 //   explore gennaro passive product:0.3,0.7,0.5,0.8 --n=4 --corrupt=2
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <set>
@@ -90,20 +91,36 @@ std::vector<sim::PartyId> parse_ids(const std::string& csv) {
   }
 }
 
+/// "product:0.3,0.5,...": comma-separated probabilities, each a finite
+/// decimal number spanning its whole item.  "0.3,abc" and "0.3," are usage
+/// errors (exit 2), never an uncaught std::stod abort.
 std::vector<double> parse_probs(const std::string& csv) {
   std::vector<double> p;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) p.push_back(std::stod(item));
-  return p;
+  for (std::size_t start = 0;;) {
+    const std::size_t comma = csv.find(',', start);
+    const std::string item = csv.substr(start, comma - start);
+    char* end = nullptr;
+    errno = 0;
+    const double value = item.empty() ? 0.0 : std::strtod(item.c_str(), &end);
+    if (item.empty() || end != item.c_str() + item.size() || errno == ERANGE ||
+        !std::isfinite(value))
+      usage("product probabilities must be numbers, got '" + item + "'");
+    p.push_back(value);
+    if (comma == std::string::npos) return p;
+    start = comma + 1;
+  }
 }
 
 std::shared_ptr<dist::InputEnsemble> make_ensemble(const std::string& spec, std::size_t n) {
   if (spec == "uniform") return dist::make_uniform(n);
   if (spec == "copy") return std::make_shared<dist::NoisyCopyEnsemble>(n, 0.0);
   if (spec == "parity-even") return std::make_shared<dist::EvenParityEnsemble>(n);
-  if (spec.rfind("singleton:", 0) == 0)
-    return std::make_shared<dist::SingletonEnsemble>(BitVec::from_string(spec.substr(10)));
+  if (spec.rfind("singleton:", 0) == 0) {
+    const std::string bits = spec.substr(10);
+    if (bits.find_first_not_of("01") != std::string::npos)
+      usage("singleton bits must be '0' or '1', got '" + bits + "'");
+    return std::make_shared<dist::SingletonEnsemble>(BitVec::from_string(bits));
+  }
   if (spec.rfind("product:", 0) == 0)
     return std::make_shared<dist::ProductEnsemble>(parse_probs(spec.substr(8)));
   usage("unknown distribution '" + spec + "'");

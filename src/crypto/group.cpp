@@ -16,23 +16,21 @@ constexpr std::uint64_t kStandardG = 4ULL;
 
 }  // namespace
 
-FixedBaseTable::FixedBaseTable(std::uint64_t base, std::uint64_t p)
-    : p_(p), table_(kWindows) {
+FixedBaseTable::FixedBaseTable(std::uint64_t base, const Montgomery& mont)
+    : mont_(mont), table_(kWindows) {
   // window_base walks base^(256^i); each row is that power's digit ladder.
-  std::uint64_t window_base = base % p;
+  std::uint64_t window_base = mont_.to(base);
   for (std::size_t i = 0; i < kWindows; ++i) {
-    table_[i][0] = 1 % p;
-    for (std::size_t d = 1; d < 256; ++d)
-      table_[i][d] = mulmod(table_[i][d - 1], window_base, p);
-    window_base = mulmod(table_[i][255], window_base, p);
+    table_[i][0] = mont_.one();
+    for (std::size_t d = 1; d < 256; ++d) table_[i][d] = mont_.mul(table_[i][d - 1], window_base);
+    window_base = mont_.mul(table_[i][255], window_base);
   }
 }
 
-std::uint64_t FixedBaseTable::exp(std::uint64_t e) const noexcept {
-  std::uint64_t acc = 1 % p_;
+std::uint64_t FixedBaseTable::mul_exp(std::uint64_t acc, std::uint64_t e) const noexcept {
   for (std::size_t i = 0; i < kWindows && e != 0; ++i, e >>= 8) {
     const std::uint64_t d = e & 0xff;
-    if (d != 0) acc = mulmod(acc, table_[i][d], p_);
+    if (d != 0) acc = mont_.mul(acc, table_[i][d]);
   }
   return acc;
 }
@@ -42,11 +40,11 @@ SchnorrGroup::SchnorrGroup(std::uint64_t p, std::uint64_t q, std::uint64_t g)
   if (!is_prime_u64(p)) throw UsageError("SchnorrGroup: p not prime");
   if (!is_prime_u64(q)) throw UsageError("SchnorrGroup: q not prime");
   if (p != 2 * q + 1) throw UsageError("SchnorrGroup: p != 2q + 1");
-  if (g <= 1 || g >= p || powmod(g, q, p) != 1)
-    throw UsageError("SchnorrGroup: g not an order-q element");
+  mont_ = Montgomery(p);
+  if (g <= 1 || !is_element(g)) throw UsageError("SchnorrGroup: g not an order-q element");
   h_ = hash_to_group("simulcast/pedersen-h/v1");
-  g_table_ = FixedBaseTable(g_, p_);
-  h_table_ = FixedBaseTable(h_, p_);
+  g_table_ = FixedBaseTable(g_, mont_);
+  h_table_ = FixedBaseTable(h_, mont_);
 }
 
 const SchnorrGroup& SchnorrGroup::standard() {
@@ -64,13 +62,19 @@ std::uint64_t SchnorrGroup::exp_h(const Zq& e) const {
   return h_table_.exp(e.value());
 }
 
+std::uint64_t SchnorrGroup::exp_gh(const Zq& a, const Zq& b) const {
+  if (a.modulus() != q_ || b.modulus() != q_)
+    throw UsageError("SchnorrGroup::exp: exponent modulus != q");
+  return h_table_.mul_exp(g_table_.exp(a.value()), b.value());
+}
+
 std::uint64_t SchnorrGroup::exp(std::uint64_t base, const Zq& e) const {
   if (e.modulus() != q_) throw UsageError("SchnorrGroup::exp: exponent modulus != q");
-  return powmod(base, e.value(), p_);
+  return mont_.from(mont_.pow(mont_.to(base), e.value()));
 }
 
 std::uint64_t SchnorrGroup::mul(std::uint64_t a, std::uint64_t b) const {
-  return mulmod(a, b, p_);
+  return mont_.mul(mont_.to(a), b);  // aR * b * R^-1 = ab
 }
 
 std::uint64_t SchnorrGroup::inv(std::uint64_t a) const {
@@ -78,7 +82,7 @@ std::uint64_t SchnorrGroup::inv(std::uint64_t a) const {
 }
 
 bool SchnorrGroup::is_element(std::uint64_t a) const {
-  return a != 0 && a < p_ && powmod(a, q_, p_) == 1;
+  return a != 0 && a < p_ && jacobi(a, p_) == 1;
 }
 
 std::uint64_t SchnorrGroup::hash_to_group(std::string_view label) const {
@@ -95,7 +99,7 @@ std::uint64_t SchnorrGroup::hash_to_group(std::string_view label) const {
     for (int i = 0; i < 8; ++i) x = (x << 8) | d[static_cast<std::size_t>(i)];
     x %= p_;
     if (x <= 1) continue;
-    const std::uint64_t candidate = mulmod(x, x, p_);
+    const std::uint64_t candidate = mul(x, x);
     if (candidate != 1) return candidate;
   }
 }

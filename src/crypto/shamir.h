@@ -66,20 +66,36 @@ template <typename F>
   return shares;
 }
 
-/// Lagrange coefficient λ_j(0) for interpolation at zero over the points in
-/// `shares` (all x distinct, nonzero).
+/// Lagrange coefficients λ_j(0), one per share, for interpolation at zero
+/// over the points in `shares` (nonempty, all x distinct and nonzero in the
+/// field): λ_j = prod_{m≠j} x_m / prod_{m≠j} (x_m - x_j).  The denominators
+/// are inverted together by Montgomery's batch-inversion trick (invert their
+/// product once, then peel off one factor per step), so the whole set costs
+/// one field inversion.  Throws UsageError (from the field) when two points
+/// coincide in the field.
 template <typename F>
-[[nodiscard]] F lagrange_at_zero(const std::vector<Share<F>>& shares, std::size_t j) {
-  const F xj = shares[j].y.with_same_modulus(shares[j].x);
-  F num = xj.with_same_modulus(1);
-  F den = xj.with_same_modulus(1);
-  for (std::size_t m = 0; m < shares.size(); ++m) {
-    if (m == j) continue;
-    const F xm = xj.with_same_modulus(shares[m].x);
-    num = num * xm;
-    den = den * (xm - xj);
+[[nodiscard]] std::vector<F> lagrange_weights_at_zero(const std::vector<Share<F>>& shares) {
+  const F one = shares[0].y.with_same_modulus(1);
+  std::vector<F> num(shares.size(), one);
+  std::vector<F> den(shares.size(), one);
+  for (std::size_t j = 0; j < shares.size(); ++j) {
+    const F xj = one.with_same_modulus(shares[j].x);
+    for (std::size_t m = 0; m < shares.size(); ++m) {
+      if (m == j) continue;
+      const F xm = one.with_same_modulus(shares[m].x);
+      num[j] = num[j] * xm;
+      den[j] = den[j] * (xm - xj);
+    }
   }
-  return num * den.inverse();
+  // prefix[j] = den[0] * ... * den[j-1]; inv walks down from 1/prod(den).
+  std::vector<F> prefix(shares.size(), one);
+  for (std::size_t j = 1; j < shares.size(); ++j) prefix[j] = prefix[j - 1] * den[j - 1];
+  F inv = (prefix.back() * den.back()).inverse();
+  for (std::size_t j = shares.size(); j-- > 0;) {
+    num[j] = num[j] * (inv * prefix[j]);  // num[j] / den[j]
+    inv = inv * den[j];
+  }
+  return num;
 }
 
 /// Reconstructs the secret from any set of shares on distinct points; the
@@ -93,9 +109,9 @@ template <typename F>
     for (std::size_t j = i + 1; j < shares.size(); ++j)
       if (shares[i].x == shares[j].x) throw UsageError("shamir_reconstruct: duplicate point");
   }
+  const std::vector<F> weights = lagrange_weights_at_zero(shares);
   F acc = shares[0].y.with_same_modulus(0);
-  for (std::size_t j = 0; j < shares.size(); ++j)
-    acc = acc + shares[j].y * lagrange_at_zero(shares, j);
+  for (std::size_t j = 0; j < shares.size(); ++j) acc = acc + shares[j].y * weights[j];
   return acc;
 }
 

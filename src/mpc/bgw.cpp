@@ -77,8 +77,7 @@ SharedValue BgwEngine::mul(const SharedValue& a, const SharedValue& b) {
   std::vector<crypto::Share<Fp61>> points;
   points.reserve(n_);
   for (std::size_t i = 0; i < n_; ++i) points.push_back({i + 1, Fp61(0)});
-  std::vector<Fp61> lambda(n_);
-  for (std::size_t i = 0; i < n_; ++i) lambda[i] = crypto::lagrange_at_zero(points, i);
+  const std::vector<Fp61> lambda = crypto::lagrange_weights_at_zero(points);
 
   SharedValue out;
   out.shares.assign(n_, Fp61(0));

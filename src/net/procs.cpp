@@ -1,16 +1,19 @@
 #include "net/procs.h"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <spawn.h>
 #include <sys/socket.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstring>
-#include <thread>
 
 #include "net/transport.h"
 #include "net/wire.h"
@@ -46,6 +49,27 @@ void reap_pid(pid_t pid) noexcept {
   int status = 0;
   while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
   }
+}
+
+/// Blocks until child `pid` has exited (is reapable) or `deadline` passes,
+/// by polling a pidfd; true when it exited in time.  False as well when no
+/// pidfd could be opened, so the caller's deadline path covers that case.
+bool await_exit(pid_t pid, std::chrono::steady_clock::time_point deadline) noexcept {
+  const int pidfd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+  if (pidfd < 0) return false;
+  bool exited = false;
+  for (;;) {
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd pfd{pidfd, POLLIN, 0};
+    const int rc =
+        ::poll(&pfd, 1, static_cast<int>(std::clamp<std::int64_t>(left.count(), 0, INT_MAX)));
+    if (rc < 0 && errno == EINTR) continue;
+    exited = rc > 0;
+    break;
+  }
+  ::close(pidfd);
+  return exited;
 }
 
 /// Writes exactly `size` bytes; used only by the deliberately-truncated
@@ -358,18 +382,12 @@ void ProcSupervisor::shutdown() noexcept {
   for (std::size_t id = 0; id < workers_.size(); ++id) {
     Worker& w = workers_[id];
     if (w.pid < 0) continue;
-    for (;;) {
-      int status = 0;
-      const pid_t rc = ::waitpid(w.pid, &status, WNOHANG);
-      if (rc == w.pid || (rc < 0 && errno != EINTR)) break;
-      if (std::chrono::steady_clock::now() >= give_up) {
-        // Past the stall deadline the worker forfeits its graceful exit.
-        if (::kill(w.pid, SIGKILL) == 0) proc_counters().killed.add(1);
-        reap_pid(w.pid);
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (!await_exit(w.pid, give_up)) {
+      // Past the stall deadline (or with no pidfd to wait on) the worker
+      // forfeits its graceful exit.
+      if (::kill(w.pid, SIGKILL) == 0) proc_counters().killed.add(1);
     }
+    reap_pid(w.pid);
     proc_counters().reaped.add(1);
     if (obs::log_enabled())
       obs::log_event(obs::LogLevel::kDebug, "worker-exit",

@@ -34,7 +34,13 @@ std::string Json::escape(std::string_view raw) {
 }
 
 std::string Json::quote(std::string_view raw) {
-  return "\"" + escape(raw) + "\"";
+  // Built with append rather than `"\"" + escape(raw) + "\""`: GCC 12 at -O3
+  // reports a false -Wrestrict on that operator+ chain.
+  const std::string body = escape(raw);
+  std::string out;
+  out.reserve(body.size() + 2);
+  out.append(1, '"').append(body).append(1, '"');
+  return out;
 }
 
 std::string Json::number(double value) {

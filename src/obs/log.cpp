@@ -242,8 +242,12 @@ std::string log_line(const LogRecord& record) {
   line += record.campaign == 0 ? "null" : Json::quote(correlation_hex(record.campaign));
   line += ",\"exec\":";
   line += record.exec == 0 ? "null" : Json::quote(correlation_hex(record.exec));
-  for (std::uint8_t a = 0; a < record.arg_count; ++a)
-    line += "," + Json::quote(record.arg_keys[a]) + ":" + Json::number(record.arg_values[a]);
+  for (std::uint8_t a = 0; a < record.arg_count; ++a) {
+    line += ',';
+    line += Json::quote(record.arg_keys[a]);
+    line += ':';
+    line += Json::number(record.arg_values[a]);
+  }
   if (!record.detail.empty()) line += ",\"detail\":" + Json::quote(record.detail);
   line += "}";
   return line;

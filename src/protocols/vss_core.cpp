@@ -77,6 +77,7 @@ void VssProtocolParty::deal(sim::PartyContext& ctx) {
   DealerState& self = dealers_[me_];
   self.commitments = my_deal_->commitments;
   self.my_share = my_deal_->shares[me_];
+  self.my_share_verifies.reset();
 }
 
 void VssProtocolParty::add_public_share(DealerState& state, const crypto::PedersenShare& share) {
@@ -84,6 +85,13 @@ void VssProtocolParty::add_public_share(DealerState& state, const crypto::Peders
   if (!vss_.verify_share(*state.commitments, share)) return;
   if (!state.public_share_points.insert(share.x).second) return;
   state.public_shares.push_back(share);
+}
+
+bool VssProtocolParty::my_share_verifies(DealerState& state) {
+  if (!state.commitments.has_value() || !state.my_share.has_value()) return false;
+  if (!state.my_share_verifies.has_value())
+    state.my_share_verifies = vss_.verify_share(*state.commitments, *state.my_share);
+  return *state.my_share_verifies;
 }
 
 void VssProtocolParty::record(const sim::Inbox& inbox, sim::PartyContext& ctx) {
@@ -102,6 +110,7 @@ void VssProtocolParty::record(const sim::Inbox& inbox, sim::PartyContext& ctx) {
         auto elems = crypto::decode_group_elements(m.payload);
         if (!vss_.verify_commitments(elems, schedule_.threshold)) continue;
         dealer.commitments = std::move(elems);
+        dealer.my_share_verifies.reset();
       } else if (m.tag == kVssShareTag) {
         if (m.from >= schedule_.n || m.round != schedule_.deal_round[m.from] || m.to != me_)
           continue;
@@ -112,6 +121,7 @@ void VssProtocolParty::record(const sim::Inbox& inbox, sim::PartyContext& ctx) {
         // Stored even before the commitments arrive in the same round's
         // batch: validity is checked where the share is used.
         dealer.my_share = share;
+        dealer.my_share_verifies.reset();
       } else if (m.tag == kPokCommitTag) {
         if (!schedule_.pok.has_value() || m.from >= schedule_.n) continue;
         if (m.round != (*schedule_.pok)[m.from].commit) continue;
@@ -156,7 +166,10 @@ void VssProtocolParty::record(const sim::Inbox& inbox, sim::PartyContext& ctx) {
         if (!vss_.verify_share(*dealer.commitments, share)) continue;
         it->second = true;
         add_public_share(dealer, share);
-        if (complainer == me_ && !dealer.my_share.has_value()) dealer.my_share = share;
+        if (complainer == me_ && !dealer.my_share.has_value()) {
+          dealer.my_share = share;
+          dealer.my_share_verifies = true;  // verified just above
+        }
       } else if (m.tag == kVssRevealTag) {
         if (m.from >= schedule_.n || m.round != schedule_.reconstruct_round) continue;
         ByteReader r(m.payload);
@@ -254,13 +267,8 @@ void VssProtocolParty::on_round(sim::Round round, const sim::Inbox& inbox,
   if (round == schedule_.complaint_round) {
     std::uint64_t mask = 0;
     for (std::size_t d = 0; d < schedule_.n; ++d) {
-      if (d == me_) continue;
-      const DealerState& dealer = dealers_[d];
-      const bool bad_commit = !dealer.commitments.has_value();
-      const bool bad_share = !dealer.my_share.has_value() ||
-                             (dealer.commitments.has_value() &&
-                              !vss_.verify_share(*dealer.commitments, *dealer.my_share));
-      if (bad_commit || bad_share) mask |= (std::uint64_t{1} << d);
+      // Missing commitments, a missing share and a bad share all count.
+      if (d != me_ && !my_share_verifies(dealers_[d])) mask |= (std::uint64_t{1} << d);
     }
     // Broadcasts are not self-delivered, so register my own complaints
     // locally too - every party must evaluate the same complaint set.
@@ -284,9 +292,8 @@ void VssProtocolParty::on_round(sim::Round round, const sim::Inbox& inbox,
   if (round == schedule_.reconstruct_round) {
     decide_disqualifications();
     for (std::size_t d = 0; d < schedule_.n; ++d) {
-      const DealerState& dealer = dealers_[d];
-      if (dealer.disqualified || !dealer.my_share.has_value()) continue;
-      if (!vss_.verify_share(*dealer.commitments, *dealer.my_share)) continue;
+      DealerState& dealer = dealers_[d];
+      if (dealer.disqualified || !my_share_verifies(dealer)) continue;
       ctx.broadcast(kVssRevealTag, encode_reveal(d, *dealer.my_share));
     }
   }
@@ -299,9 +306,8 @@ void VssProtocolParty::finish(const sim::Inbox& inbox, sim::PartyContext& ctx) {
     if (dealer.disqualified) continue;  // announced 0
     // Pool of verifying shares: public (justified + revealed) plus my own.
     std::vector<crypto::PedersenShare> pool = dealer.public_shares;
-    if (dealer.my_share.has_value() && dealer.commitments.has_value() &&
-        !dealer.public_share_points.contains(dealer.my_share->x) &&
-        vss_.verify_share(*dealer.commitments, *dealer.my_share))
+    if (dealer.my_share.has_value() &&
+        !dealer.public_share_points.contains(dealer.my_share->x) && my_share_verifies(dealer))
       pool.push_back(*dealer.my_share);
     if (pool.size() < schedule_.threshold + 1) continue;  // unreconstructable -> 0
     pool.resize(schedule_.threshold + 1);

@@ -97,7 +97,10 @@ class VssProtocolParty final : public sim::Party {
  private:
   struct DealerState {
     std::optional<std::vector<std::uint64_t>> commitments;  ///< C_j vector
-    std::optional<crypto::PedersenShare> my_share;          ///< verified share for me
+    std::optional<crypto::PedersenShare> my_share;          ///< my share, unverified
+    /// Cached verify_share(commitments, my_share); reset whenever either
+    /// field is assigned.
+    std::optional<bool> my_share_verifies;
     std::vector<crypto::PedersenShare> public_shares;       ///< justified + revealed, verified
     std::set<std::uint64_t> public_share_points;            ///< dedupe by x
     // PoK transcript pieces.
@@ -111,6 +114,9 @@ class VssProtocolParty final : public sim::Party {
   void record(const sim::Inbox& inbox, sim::PartyContext& ctx);
   void deal(sim::PartyContext& ctx);
   void add_public_share(DealerState& state, const crypto::PedersenShare& share);
+  /// True when the dealer's commitments and my share are both present and
+  /// the share verifies; computed once per (commitments, share) pair.
+  [[nodiscard]] bool my_share_verifies(DealerState& state);
   [[nodiscard]] crypto::Zq joint_challenge(sim::Round challenge_round) const;
   void decide_disqualifications();
 

@@ -60,6 +60,25 @@ check "empty corrupt id"       --corrupt=1,,3
 check "malformed seed"         --seed=zz
 check "negative sample count"  --samples=-1
 
+# explore's positional distribution spec has no bench-driver counterpart, so
+# these rows run explore alone: a malformed spec must exit 2 with the usage
+# line, not abort (exit 134) on an uncaught parse exception.
+check_explore() {
+  desc=$1
+  shift
+  "$explore" gennaro none "$@" >/dev/null 2>&1
+  a=$?
+  if [ "$a" -ne 2 ]; then
+    echo "FAIL [$desc]: explore exit $a (want 2)" >&2
+    fail=1
+  else
+    echo "ok   [$desc]: explore exit 2"
+  fi
+}
+
+check_explore "malformed product probability" product:0.3,abc,0.5,0.5,0.5
+check_explore "non-bit singleton"             singleton:10x11 --n=5
+
 # Fractional --net-timeout must be *accepted* (the knob takes seconds, and
 # sub-second deadlines are what keep negative network tests fast).  explore
 # alone carries the acceptance row: with one in-process sample it exits 0 in

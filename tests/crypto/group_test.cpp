@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "base/error.h"
 #include "crypto/modmath.h"
+#include "stats/rng.h"
 
 namespace simulcast::crypto {
 namespace {
@@ -61,6 +64,68 @@ TEST(SchnorrGroup, IsElementRejectsNonResidues) {
   EXPECT_FALSE(g.is_element(23));
   EXPECT_TRUE(g.is_element(2));
   EXPECT_TRUE(g.is_element(1));
+}
+
+TEST(SchnorrGroup, IsElementIsEulersCriterionExhaustivelyOnSmallGroup) {
+  const SchnorrGroup g(23, 11, 4);
+  for (std::uint64_t a = 0; a < 2 * 23; ++a) {
+    const bool expected = a != 0 && a < 23 && powmod(a, 11, 23) == 1;
+    EXPECT_EQ(g.is_element(a), expected) << "a=" << a;
+  }
+}
+
+TEST(SchnorrGroup, IsElementIsEulersCriterionOnStandardGroup) {
+  const SchnorrGroup& g = SchnorrGroup::standard();
+  stats::Rng rng(11);
+  for (int i = 0; i < 2000; ++i) {
+    // Mostly below p, some at or above it.
+    const std::uint64_t a = i % 4 == 0 ? rng() : rng.below(g.p());
+    const bool expected = a != 0 && a < g.p() && powmod(a, g.q(), g.p()) == 1;
+    EXPECT_EQ(g.is_element(a), expected) << "a=" << a;
+  }
+  EXPECT_FALSE(g.is_element(g.p() - 1));  // -1 is a non-residue since p = 3 (mod 4)
+  EXPECT_TRUE(g.is_element(1));
+  EXPECT_FALSE(g.is_element(0));
+  EXPECT_FALSE(g.is_element(g.p()));
+  EXPECT_FALSE(g.is_element(g.p() + 1));
+}
+
+TEST(SchnorrGroup, OperationsMatchPowmodReference) {
+  const SchnorrGroup& g = SchnorrGroup::standard();
+  stats::Rng rng(12);
+  for (int i = 0; i < 300; ++i) {
+    const Zq a{rng.below(g.q()), g.q()};
+    const Zq b{rng.below(g.q()), g.q()};
+    const std::uint64_t x = i % 3 == 0 ? rng() : rng.below(g.p());  // some bases >= p
+    const std::uint64_t y = rng();
+    EXPECT_EQ(g.exp_g(a), powmod(g.g(), a.value(), g.p()));
+    EXPECT_EQ(g.exp_h(b), powmod(g.h(), b.value(), g.p()));
+    EXPECT_EQ(g.exp_gh(a, b), mulmod(g.exp_g(a), g.exp_h(b), g.p()));
+    EXPECT_EQ(g.exp(x, a), powmod(x, a.value(), g.p()));
+    EXPECT_EQ(g.mul(x, y), mulmod(x, y, g.p()));
+  }
+  EXPECT_EQ(g.exp_g(Zq(0, g.q())), 1u);
+  EXPECT_EQ(g.exp(0, Zq(0, g.q())), 1u);
+  EXPECT_EQ(g.exp(g.p(), Zq(5, g.q())), 0u);
+  EXPECT_THROW((void)g.exp_gh(Zq(1, 101), Zq(1, g.q())), UsageError);
+}
+
+TEST(SchnorrGroup, CopyOutlivesTheOriginal) {
+  // The fixed-base tables carry their own Montgomery context, so a copy
+  // holds no pointer into the group it was copied from.
+  const SchnorrGroup& standard = SchnorrGroup::standard();
+  auto original = std::make_unique<SchnorrGroup>(standard.p(), standard.q(), standard.g());
+  const SchnorrGroup copy = *original;
+  original.reset();
+  HmacDrbg drbg(3, "copy");
+  for (int i = 0; i < 20; ++i) {
+    const Zq a = copy.sample_exponent(drbg);
+    const Zq b = copy.sample_exponent(drbg);
+    EXPECT_EQ(copy.exp_g(a), powmod(copy.g(), a.value(), copy.p()));
+    EXPECT_EQ(copy.exp_h(b), powmod(copy.h(), b.value(), copy.p()));
+    EXPECT_EQ(copy.exp_gh(a, b), standard.exp_gh(a, b));
+    EXPECT_TRUE(copy.is_element(copy.exp_g(a)));
+  }
 }
 
 TEST(SchnorrGroup, HashToGroupLandsInSubgroup) {

@@ -10,6 +10,50 @@
 namespace simulcast::crypto {
 namespace {
 
+/// λ_j(0) one term at a time, one inversion per term.
+template <typename F>
+F lagrange_term_reference(const std::vector<Share<F>>& shares, std::size_t j) {
+  const F xj = shares[j].y.with_same_modulus(shares[j].x);
+  F num = xj.with_same_modulus(1);
+  F den = xj.with_same_modulus(1);
+  for (std::size_t m = 0; m < shares.size(); ++m) {
+    if (m == j) continue;
+    const F xm = xj.with_same_modulus(shares[m].x);
+    num = num * xm;
+    den = den * (xm - xj);
+  }
+  return num * den.inverse();
+}
+
+/// `count` shares on distinct nonzero points drawn from [1, range].
+template <typename F>
+std::vector<Share<F>> random_points(HmacDrbg& drbg, const F& like, std::size_t count,
+                                    std::uint64_t range) {
+  std::vector<Share<F>> shares;
+  while (shares.size() < count) {
+    const std::uint64_t x = 1 + drbg.below(range);
+    if (std::any_of(shares.begin(), shares.end(), [x](const Share<F>& s) { return s.x == x; }))
+      continue;
+    shares.push_back({x, like.sample_same(drbg)});
+  }
+  return shares;
+}
+
+template <typename F>
+void expect_weights_match_per_term(const F& like, std::uint64_t range, const char* label) {
+  HmacDrbg drbg(9, label);
+  for (std::size_t count = 1; count <= 12; ++count) {
+    for (int trial = 0; trial < 10; ++trial) {
+      const std::vector<Share<F>> shares = random_points(drbg, like, count, range);
+      const std::vector<F> weights = lagrange_weights_at_zero(shares);
+      ASSERT_EQ(weights.size(), count);
+      for (std::size_t j = 0; j < count; ++j)
+        EXPECT_EQ(weights[j], lagrange_term_reference(shares, j))
+            << label << " count=" << count << " j=" << j;
+    }
+  }
+}
+
 TEST(Polynomial, EvalHorner) {
   // f(x) = 3 + 2x + x^2 over Fp61.
   const Polynomial<Fp61> f({Fp61(3), Fp61(2), Fp61(1)});
@@ -28,6 +72,23 @@ TEST(Polynomial, RandomHasRequestedDegreeAndConstantTerm) {
   const auto f = Polynomial<Fp61>::random(Fp61(42), 5, drbg);
   EXPECT_EQ(f.degree(), 5u);
   EXPECT_EQ(f.eval(Fp61(0)), Fp61(42));
+}
+
+TEST(Lagrange, BatchInvertedWeightsMatchPerTermFormula) {
+  const std::uint64_t q = SchnorrGroup::standard().q();
+  expect_weights_match_per_term(Fp61(1), 16, "fp61-small");
+  expect_weights_match_per_term(Fp61(1), ~0ULL - 1, "fp61-wide");
+  expect_weights_match_per_term(Zq(1, q), 16, "zq-small");
+  expect_weights_match_per_term(Zq(1, q), q - 1, "zq-wide");
+  expect_weights_match_per_term(Zq(1, 23), 22, "zq-tiny");
+}
+
+TEST(Lagrange, PointsCoincidingInTheFieldThrow) {
+  // x and x + q are distinct integers but the same field point.
+  const std::uint64_t q = 101;
+  const std::vector<Share<Zq>> shares = {{3, Zq(1, q)}, {5, Zq(2, q)}, {3 + q, Zq(3, q)}};
+  EXPECT_THROW((void)lagrange_weights_at_zero(shares), UsageError);
+  EXPECT_THROW((void)shamir_reconstruct(shares), UsageError);
 }
 
 TEST(Shamir, ShareAndReconstructFp61) {

@@ -2,8 +2,38 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/modmath.h"
+
 namespace simulcast::crypto {
 namespace {
+
+/// prod_j C_j^{x^j} mod p with powmod/mulmod only: each C_j reduced mod p
+/// and raised to x^j mod q.
+std::uint64_t commitment_product_reference(const SchnorrGroup& group,
+                                           const std::vector<std::uint64_t>& commitments,
+                                           std::uint64_t x) {
+  std::uint64_t product = 1;
+  std::uint64_t x_power = 1;  // x^j mod q
+  for (const std::uint64_t c : commitments) {
+    product = mulmod(product, powmod(c, x_power, group.p()), group.p());
+    x_power = mulmod(x_power, x % group.q(), group.q());
+  }
+  return product;
+}
+
+bool pedersen_verify_reference(const SchnorrGroup& group,
+                               const std::vector<std::uint64_t>& commitments,
+                               const PedersenShare& share) {
+  const std::uint64_t lhs = mulmod(powmod(group.g(), share.value.value(), group.p()),
+                                   powmod(group.h(), share.blinding.value(), group.p()), group.p());
+  return lhs == commitment_product_reference(group, commitments, share.x);
+}
+
+bool feldman_verify_reference(const SchnorrGroup& group, const FeldmanCommitments& commitments,
+                              const Share<Zq>& share) {
+  return powmod(group.g(), share.y.value(), group.p()) ==
+         commitment_product_reference(group, commitments.coefficients, share.x);
+}
 
 class FeldmanTest : public ::testing::Test {
  protected:
@@ -102,6 +132,80 @@ TEST_F(FeldmanTest, ThresholdPropertyAcrossParameters) {
       std::vector<Share<Zq>> subset(deal.shares.begin(),
                                     deal.shares.begin() + static_cast<std::ptrdiff_t>(t + 1));
       EXPECT_EQ(vss_.reconstruct(subset), s) << "n=" << n << " t=" << t;
+    }
+  }
+}
+
+TEST_F(FeldmanTest, VerifyShareMatchesPowmodReference) {
+  for (std::size_t t : {0u, 1u, 3u, 7u}) {
+    const FeldmanDeal deal = vss_.deal(secret_, t, t + 3, drbg_);
+    for (const Share<Zq>& share : deal.shares) {
+      EXPECT_TRUE(feldman_verify_reference(group_, deal.commitments, share));
+      EXPECT_TRUE(vss_.verify_share(deal.commitments, share));
+      Share<Zq> tampered = share;
+      tampered.y = tampered.y + Zq(1, group_.q());
+      EXPECT_FALSE(feldman_verify_reference(group_, deal.commitments, tampered));
+      EXPECT_FALSE(vss_.verify_share(deal.commitments, tampered));
+    }
+    // Commitments at or above p verify as their residues.
+    FeldmanCommitments lifted = deal.commitments;
+    for (std::uint64_t& c : lifted.coefficients) c += group_.p();
+    for (const Share<Zq>& share : deal.shares) {
+      EXPECT_EQ(vss_.verify_share(lifted, share),
+                feldman_verify_reference(group_, lifted, share));
+      EXPECT_TRUE(vss_.verify_share(lifted, share));
+    }
+  }
+}
+
+class PedersenTest : public ::testing::Test {
+ protected:
+  const SchnorrGroup& group_ = SchnorrGroup::standard();
+  PedersenVss vss_{group_};
+  HmacDrbg drbg_{2, "pedersen-test"};
+};
+
+TEST_F(PedersenTest, VerifyShareMatchesPowmodReference) {
+  for (std::size_t t : {0u, 1u, 3u, 7u}) {
+    const PedersenDeal deal = vss_.deal(Zq(1, group_.q()), t, 2 * t + 1, drbg_);
+    for (const PedersenShare& share : deal.shares) {
+      EXPECT_TRUE(pedersen_verify_reference(group_, deal.commitments, share));
+      EXPECT_TRUE(vss_.verify_share(deal.commitments, share));
+
+      PedersenShare bad_value = share;
+      bad_value.value = bad_value.value + Zq(1, group_.q());
+      PedersenShare bad_blinding = share;
+      bad_blinding.blinding = bad_blinding.blinding + Zq(1, group_.q());
+      PedersenShare bad_point = share;
+      bad_point.x += 1;  // a constant polynomial (t = 0) takes the same value there
+      for (const PedersenShare& bad : {bad_value, bad_blinding, bad_point}) {
+        EXPECT_EQ(vss_.verify_share(deal.commitments, bad),
+                  pedersen_verify_reference(group_, deal.commitments, bad));
+        EXPECT_EQ(vss_.verify_share(deal.commitments, bad), t == 0 && bad.x != share.x);
+      }
+    }
+  }
+}
+
+TEST_F(PedersenTest, TamperedAndOutOfRangeCommitmentsAgreeWithReference) {
+  const PedersenDeal deal = vss_.deal(Zq(0, group_.q()), 3, 7, drbg_);
+  for (std::size_t j = 0; j < deal.commitments.size(); ++j) {
+    // C_j + p is the same residue: both paths still accept.
+    std::vector<std::uint64_t> lifted = deal.commitments;
+    lifted[j] += group_.p();
+    // C_j * g is a different element: both paths reject.
+    std::vector<std::uint64_t> shifted = deal.commitments;
+    shifted[j] = group_.mul(shifted[j], group_.g());
+    // Arbitrary 64-bit words, non-residues and values >= p included.
+    std::vector<std::uint64_t> garbage = deal.commitments;
+    garbage[j] = drbg_.next_u64();
+    for (const PedersenShare& share : deal.shares) {
+      EXPECT_TRUE(vss_.verify_share(lifted, share));
+      EXPECT_TRUE(pedersen_verify_reference(group_, lifted, share));
+      EXPECT_FALSE(vss_.verify_share(shifted, share));
+      EXPECT_FALSE(pedersen_verify_reference(group_, shifted, share));
+      EXPECT_EQ(vss_.verify_share(garbage, share),
+                pedersen_verify_reference(group_, garbage, share));
     }
   }
 }

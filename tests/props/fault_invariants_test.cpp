@@ -15,6 +15,10 @@
 // seed) plus the shrunk minimal plan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "adversary/adversaries.h"
@@ -29,18 +33,25 @@ namespace {
 
 /// One sweep per protocol; seq-broadcast-ds runs n Dolev-Strong instances
 /// with Lamport signatures, so it gets a smaller n to keep the suite fast.
-/// `n` comes first: gtest prints the parameter as a byte dump, and that
-/// dump is part of each test's ctest name, so it must open with stable
-/// bytes rather than the string's heap pointer (which moves with ASLR).
+/// gtest prints the parameter as a byte dump, and that dump is part of each
+/// test's ctest name, so the struct holds no pointer: the name is stored
+/// inline and zero-padded (a std::string would put its heap pointer, which
+/// moves with ASLR, and stale buffer bytes into the name).
 struct ProtoCase {
   std::size_t n;
-  std::string name;
+  std::array<char, 32> name;  ///< NUL-terminated registry name
+
+  [[nodiscard]] std::string protocol() const { return name.data(); }
 };
 
 std::vector<ProtoCase> proto_cases() {
   std::vector<ProtoCase> cases;
-  for (const std::string& name : core::protocol_names())
-    cases.push_back({name == "seq-broadcast-ds" ? std::size_t{3} : std::size_t{4}, name});
+  for (const std::string& name : core::protocol_names()) {
+    ProtoCase c{name == "seq-broadcast-ds" ? std::size_t{3} : std::size_t{4}, {}};
+    if (name.size() >= c.name.size()) throw std::length_error("ProtoCase: name too long: " + name);
+    std::copy(name.begin(), name.end(), c.name.begin());
+    cases.push_back(c);
+  }
   return cases;
 }
 
@@ -50,7 +61,7 @@ constexpr std::size_t kSweepCount = 200;
 class FaultInvariantsTest : public ::testing::TestWithParam<ProtoCase> {
  protected:
   std::unique_ptr<sim::ParallelBroadcastProtocol> proto_ =
-      core::make_protocol(GetParam().name);
+      core::make_protocol(GetParam().protocol());
   std::size_t n_ = GetParam().n;
 
   sim::ProtocolParams params() const {
@@ -187,8 +198,8 @@ constexpr Golden kGolden[] = {
 TEST_P(FaultInvariantsTest, EmptyPlanReproducesGoldenOutputs) {
   const Golden* golden = nullptr;
   for (const Golden& g : kGolden)
-    if (GetParam().name == g.name) golden = &g;
-  ASSERT_NE(golden, nullptr) << "no golden row for " << GetParam().name
+    if (GetParam().protocol() == g.name) golden = &g;
+  ASSERT_NE(golden, nullptr) << "no golden row for " << GetParam().protocol()
                              << " — a newly registered protocol needs one";
   ASSERT_EQ(golden->n, n_);
 
@@ -247,7 +258,7 @@ TEST_P(FaultInvariantsTest, InertPlanIsByteIdenticalToEmptyPlan) {
 
 INSTANTIATE_TEST_SUITE_P(AllProtocols, FaultInvariantsTest,
                          ::testing::ValuesIn(proto_cases()), [](const auto& param_info) {
-                           std::string s = param_info.param.name;
+                           std::string s = param_info.param.protocol();
                            for (char& c : s)
                              if (c == '-') c = '_';
                            return s;
